@@ -1,10 +1,7 @@
 """Legacy setup shim (the offline environment lacks the wheel package).
 
-Install with ``pip install -e .`` for the pure-Python package, or
-``pip install -e .[fast]`` to pull in numpy for the vectorized compute
-kernels (``repro.kernels``).  The package is fully functional without the
-extra — every kernel has a bit-identical pure-Python implementation and
-the backend falls back automatically (see ``repro.kernels``).
+Install with ``pip install -e .``; the package is pure Python and needs
+nothing beyond the standard library.
 """
 
 import re
@@ -22,9 +19,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={
-        # vectorized routing/validation kernels; optional by design —
-        # the pure backend is always available and bit-identical.
-        "fast": ["numpy"],
-    },
 )

@@ -163,10 +163,6 @@ class Grid:
         n = rows * cols
         self._role: List[CellRole] = [CellRole.BUS] * n
         self._occ: List[Optional[int]] = [None] * n
-        #: occupancy as a bytearray mirror of ``_occ`` (1 = occupied) —
-        #: maintained incrementally by every mutation so the numpy kernels
-        #: can view the live state zero-copy (np.frombuffer) with no rebuild.
-        self._occ_b = bytearray(n)
         self._routable_b = bytearray([1]) * n
         self._parkable_b = bytearray([1]) * n
         self._qubit_position: Dict[int, Position] = {}
@@ -290,7 +286,6 @@ class Grid:
         if self._scratch_depth:
             self._undo.append(("place", qubit, i))
         self._occ[i] = qubit
-        self._occ_b[i] = 1
         self._qubit_position[qubit] = pos
         self._epoch_counter += 1
         self._epoch = self._epoch_counter
@@ -302,7 +297,6 @@ class Grid:
         if self._scratch_depth:
             self._undo.append(("remove", qubit, i))
         self._occ[i] = None
-        self._occ_b[i] = 0
         del self._qubit_position[qubit]
         self._epoch_counter += 1
         self._epoch = self._epoch_counter
@@ -329,9 +323,6 @@ class Grid:
             self._undo.append(("move", qubit, i))
         self._occ[i] = None
         self._occ[j] = qubit
-        occ_b = self._occ_b
-        occ_b[i] = 0
-        occ_b[j] = 1
         self._qubit_position[qubit] = dest
         self._epoch = self._epoch_counter = self._epoch_counter + 1
         return origin
@@ -411,7 +402,6 @@ class Grid:
         dup.cols = self.cols
         dup._role = list(self._role)
         dup._occ = list(self._occ)
-        dup._occ_b = bytearray(self._occ_b)
         dup._routable_b = bytearray(self._routable_b)
         dup._parkable_b = bytearray(self._parkable_b)
         dup._qubit_position = dict(self._qubit_position)
@@ -453,7 +443,6 @@ class Grid:
         mark, epoch = token
         undo = self._undo
         occ = self._occ
-        occ_b = self._occ_b
         qpos = self._qubit_position
         while len(undo) > mark:
             entry = undo.pop()
@@ -463,19 +452,15 @@ class Grid:
                 cur = qpos[qubit]
                 j = cur[0] * self.cols + cur[1]
                 occ[j] = None
-                occ_b[j] = 0
                 occ[i] = qubit
-                occ_b[i] = 1
                 qpos[qubit] = self._positions[i]
             elif kind == "place":
                 __, qubit, i = entry
                 occ[i] = None
-                occ_b[i] = 0
                 del qpos[qubit]
             elif kind == "remove":
                 __, qubit, i = entry
                 occ[i] = qubit
-                occ_b[i] = 1
                 qpos[qubit] = self._positions[i]
             else:  # "role"
                 __, i, old = entry

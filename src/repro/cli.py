@@ -128,10 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run one instrumented compile per case after "
                                  "the timed repetitions and attach the "
                                  "per-phase breakdown as meta.phases")
-    bench_perf.add_argument("--backend", choices=("auto", "pure", "numpy"),
-                            default="auto",
-                            help="compute-kernel backend for the whole run "
-                                 "(results are bit-identical across backends)")
     bench_perf.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
                             default=None,
                             help="compare two existing BENCH_*.json files "
@@ -492,7 +488,6 @@ def _cmd_bench(args) -> int:
             remote=remote,
             validate=args.validate,
             profile=args.profile,
-            backend=args.backend,
         )
     except ValidationError as exc:
         print(exc.report.summary())

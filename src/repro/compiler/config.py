@@ -28,16 +28,11 @@ class CompilerConfig:
         eliminate_redundant_moves: run the Sec. V-D scheduling pass.
         compute_unit_cost_time: also schedule with the unit-cost instruction
             set (needed for Fig. 8's second series; costs one extra run).
-        backend: compute-kernel backend — "auto" (numpy for large arrays
-            when importable, pure Python otherwise), "pure" or "numpy".
-            Results are bit-identical across backends, so this knob never
-            participates in sweep cache keys (see
-            :func:`repro.sweep.jobs.config_fingerprint`).
         strategy: placement/delivery strategy (see :mod:`repro.strategies`).
             "default" reproduces the historical scheduler choices;
-            "balanced" balances cumulative moves per qubit.  Unlike
-            ``backend`` this changes the compiled schedule, so it **does**
-            participate in ``config_fingerprint`` and every cache key.
+            "balanced" balances cumulative moves per qubit.  It changes
+            the compiled schedule, so it participates in
+            ``config_fingerprint`` and every cache key.
     """
 
     routing_paths: int = 4
@@ -49,7 +44,6 @@ class CompilerConfig:
     lookahead: bool = True
     eliminate_redundant_moves: bool = True
     compute_unit_cost_time: bool = False
-    backend: str = "auto"
     strategy: str = "default"
 
     def __post_init__(self) -> None:
@@ -59,8 +53,6 @@ class CompilerConfig:
             raise ValueError("num_factories must be >= 1")
         if self.mapping not in ("auto", "grid", "snake"):
             raise ValueError(f"unknown mapping strategy {self.mapping!r}")
-        if self.backend not in ("auto", "pure", "numpy"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.strategy not in STRATEGY_NAMES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; "

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .. import kernels
 from ..arch.instruction_set import InstructionSet
 from ..arch.layout import Layout, assign_factory_ports, build_layout
 from ..baselines.lower_bound import distillation_lower_bound
@@ -57,17 +56,6 @@ class FaultTolerantCompiler:
                 Also forced on by the ``REPRO_VALIDATE`` environment
                 variable (the debug assertion mode CI uses).
         """
-        # Pin the config's kernel backend for the whole compile (results
-        # are backend-independent; this only selects implementations).
-        with kernels.use_backend(self.config.backend):
-            return self._compile(circuit, layout, validate)
-
-    def _compile(
-        self,
-        circuit: Circuit,
-        layout: Optional[Layout],
-        validate: bool,
-    ) -> CompilationResult:
         config = self.config
         if not validate:
             from ..verify import env_forced

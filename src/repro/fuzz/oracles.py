@@ -147,7 +147,6 @@ def check_scenario(
                 compare_results(result, second, label="serial-recompile")
             )
         failures.extend(_check_disk_replay(scenario, result))
-        failures.extend(_check_backend_parity(scenario, result))
         failures.extend(_check_strategy_differential(scenario))
     return result, failures
 
@@ -173,36 +172,6 @@ def _check_disk_replay(
             )
         ]
     return compare_results(result, warm, label="disk-replay")
-
-
-def _check_backend_parity(
-    scenario: Scenario, result: CompilationResult
-) -> List[OracleFailure]:
-    """Recompile with every kernel pinned to the numpy backend and hold the
-    result to behavioural identity.
-
-    The vectorized kernels claim bit-identical results to the pure-Python
-    reference; this oracle is that claim under fuzzing pressure.  Pinning
-    (rather than trusting ``auto``) overrides the size thresholds, so even
-    tiny fuzz grids route through the numpy code paths.  No-op where numpy
-    is unavailable — the pure backend has nothing to diverge from.
-    """
-    from .. import kernels
-
-    if not kernels.HAVE_NUMPY:
-        return []
-    config = scenario.config.with_(backend="numpy")
-    try:
-        other = FaultTolerantCompiler(config).compile(scenario.circuit)
-    except Exception as exc:  # noqa: BLE001 — a backend-only crash is the finding
-        return [
-            OracleFailure(
-                oracle="backend-parity",
-                message=f"numpy-pinned compile crashed: {type(exc).__name__}: {exc}",
-                details={"traceback": traceback.format_exc(limit=12)},
-            )
-        ]
-    return compare_results(result, other, label="backend-parity")
 
 
 def _check_strategy_differential(scenario: Scenario) -> List[OracleFailure]:

@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import __version__, kernels
+from .. import __version__
 from ..compiler.config import CompilerConfig
 from ..compiler.pipeline import FaultTolerantCompiler
 from ..compiler.result import FINGERPRINT_FIELDS
@@ -157,44 +157,41 @@ def _run_case(
     repeat: int,
     validate: bool = False,
     profile: bool = False,
-    backend: Optional[str] = None,
 ) -> dict:
     circuit = load_benchmark(case.workload)
     config = _case_config(case)
     compiler = FaultTolerantCompiler(config)
     walls: List[float] = []
     result = None
-    with kernels.use_backend(backend):
-        for _ in range(max(1, repeat)):
-            start = time.perf_counter()
-            result = compiler.compile(circuit)
-            walls.append(time.perf_counter() - start)
-        # best-of-N is the headline number (least scheduler/cache noise);
-        # the median rides along so cross-machine comparisons can see
-        # dispersion.
-        row = _row_from_result(result, min(walls))
-        row["wall_median"] = round(statistics.median(walls), 4)
-        if profile:
-            # one extra instrumented compile AFTER the timed repetitions, so
-            # attribution never contaminates the walls it explains
-            with profiler.capture() as prof:
-                compiler.compile(circuit)
-            row["phases"] = prof.as_dict()
-        if validate:
-            # outside the timed region: walls measure compilation, not
-            # auditing
-            from ..verify import raise_if_invalid, validate_result
+    for _ in range(max(1, repeat)):
+        start = time.perf_counter()
+        result = compiler.compile(circuit)
+        walls.append(time.perf_counter() - start)
+    # best-of-N is the headline number (least scheduler/cache noise);
+    # the median rides along so cross-machine comparisons can see
+    # dispersion.
+    row = _row_from_result(result, min(walls))
+    row["wall_median"] = round(statistics.median(walls), 4)
+    if profile:
+        # one extra instrumented compile AFTER the timed repetitions, so
+        # attribution never contaminates the walls it explains
+        with profiler.capture() as prof:
+            compiler.compile(circuit)
+        row["phases"] = prof.as_dict()
+    if validate:
+        # outside the timed region: walls measure compilation, not
+        # auditing
+        from ..verify import raise_if_invalid, validate_result
 
-            raise_if_invalid(
-                validate_result(result, circuit, config, label=case.key)
-            )
+        raise_if_invalid(
+            validate_result(result, circuit, config, label=case.key)
+        )
     return row
 
 
-def _run_case_payload(payload: Tuple[BenchCase, int, bool, bool, Optional[str]]) -> dict:
+def _run_case_payload(payload: Tuple[BenchCase, int, bool, bool]) -> dict:
     """Worker entry point for ``--jobs``: one timed case per process."""
-    case, repeat, validate, profile, backend = payload
-    return _run_case(case, repeat, validate, profile, backend)
+    return _run_case(*payload)
 
 
 def _merge_phase_dicts(total: Dict[str, dict], phases: Dict[str, dict]) -> None:
@@ -216,7 +213,6 @@ def run_bench(
     remote=None,
     validate: bool = False,
     profile: bool = False,
-    backend: Optional[str] = None,
 ) -> BenchReport:
     """Compile the suite, timing each case (best-of-``repeat``).
 
@@ -243,9 +239,6 @@ def run_bench(
             timed repetitions) and attach the per-phase wall/call breakdown
             as ``meta.phases``; unsupported with ``cache_dir`` (cache
             resolution has no compile phases to attribute).
-        backend: compute-kernel backend for every compile ("auto", "pure"
-            or "numpy"); behavioural outputs are identical across backends,
-            only walls change.  Recorded as ``meta.backend`` (resolved).
     """
     jobs = max(1, jobs)
     report = BenchReport(
@@ -255,9 +248,6 @@ def run_bench(
             "mode": "fast" if fast else "full",
             "repeats": max(1, repeat),
             "jobs": jobs,
-            # resolve up front: a 'numpy' pin without numpy fails here,
-            # loudly, rather than silently falling back mid-suite
-            "backend": kernels.resolve(backend),
         }
     )
     if validate:
@@ -286,8 +276,7 @@ def run_bench(
 
         def timed_resolution(case: BenchCase) -> dict:
             start = time.perf_counter()
-            with kernels.use_backend(backend):
-                result = engine.compile(circuits[case.workload], _case_config(case))
+            result = engine.compile(circuits[case.workload], _case_config(case))
             wall = time.perf_counter() - start
             if validate:
                 # after the timer stops: walls measure resolution, not auditing
@@ -306,13 +295,11 @@ def run_bench(
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(cases) or 1))
         rows = pool.map(
             _run_case_payload,
-            [(c, repeat, validate, profile, backend) for c in cases],
+            [(c, repeat, validate, profile) for c in cases],
         )
     else:
         pool = None
-        rows = (
-            _run_case(case, repeat, validate, profile, backend) for case in cases
-        )
+        rows = (_run_case(case, repeat, validate, profile) for case in cases)
     suite_phases: Dict[str, dict] = {}
     try:
         for case, row in zip(cases, rows):

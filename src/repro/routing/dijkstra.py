@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .. import kernels
 from ..arch.grid import CellRole, Grid, Position
 from ..perf.profiler import profiled
 from .path import Path
@@ -368,17 +367,6 @@ def find_paths_to_all(
     unsettled = set(goal_i)
 
     if not allow_occupied:
-        if kernels.choose(n, kernels.WAVE_MIN_CELLS) == "numpy":
-            from ..kernels import numpy_impl
-
-            final, wave_parent = numpy_impl.wave_paths_to_all(
-                grid, src_i, frozenset(goal_i), avoid_i
-            )
-            for goal, (fcost, fcrossings, ffrom) in final.items():
-                result[positions[goal]] = _rebuild_goal_path(
-                    positions, wave_parent, src_i, goal, ffrom, fcost, fcrossings
-                )
-            return result
         # Occupied cells are forbidden, so crossings never accrue and the
         # cost is exactly the length: the Dijkstra degenerates to a BFS.
         # Expanding each distance level in ascending flat-index order
@@ -482,28 +470,7 @@ def reachable_free_cells(
     nbr_idx = grid._nbr_idx
     positions = grid._positions
 
-    n = grid.rows * cols
-    if kernels.choose(n, kernels.WAVE_MIN_CELLS) == "numpy":
-        from ..kernels import numpy_impl
-
-        found_np: List[Tuple[int, Position]] = []
-        bound_np = max_distance
-        for dist, ring in numpy_impl.reachable_rings(grid, src_i):
-            if bound_np is not None and dist > bound_np:
-                break
-            if dist:
-                for pos in ring:
-                    if occ[pos] is None and routable[pos]:
-                        p = positions[pos]
-                        if predicate is None or predicate(p):
-                            found_np.append((dist, p))
-                if limit is not None and len(found_np) >= limit:
-                    # Same ring-completion rule as the pure BFS below.
-                    bound_np = dist if bound_np is None else min(bound_np, dist)
-        found_np.sort()
-        return found_np
-
-    seen = bytearray(n)
+    seen = bytearray(grid.rows * cols)
     seen[src_i] = 1
     queue = deque([(0, src_i)])
     found: List[Tuple[int, Position]] = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from .. import kernels
 from ..arch.grid import Position
 from ..ir import gates as g
 from ..perf.profiler import profiled
@@ -55,10 +54,6 @@ def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
       either endpoint, so leaving the qubit parked at A is safe).
     """
     ops = schedule.ops
-    if kernels.choose(len(ops), kernels.REDUNDANT_MIN_OPS) == "numpy":
-        from ..kernels import numpy_impl
-
-        return numpy_impl.redundant_move_pairs(ops, _is_move)
     pairs: List[Tuple[int, int]] = []
     claimed: Set[int] = set()
     # Pending unmatched move per qubit: (index, origin, dest).

@@ -10,10 +10,9 @@ displacement ladder, factory pipelining — stay in
 only rank the options those mechanics produce.
 
 Strategies are addressed by name through :data:`repro.strategies.STRATEGIES`
-and selected with ``CompilerConfig(strategy=...)``.  Unlike the kernel
-``backend`` knob, the strategy changes the compiled schedule, so it
-participates in ``config_fingerprint`` and therefore in every sweep cache
-key, service request and gateway job id.
+and selected with ``CompilerConfig(strategy=...)``.  The strategy changes
+the compiled schedule, so it participates in ``config_fingerprint`` and
+therefore in every sweep cache key, service request and gateway job id.
 
 Every hook must be **deterministic**: two runs over the same circuit and
 layout must make identical choices (the fuzzer's determinism oracle holds

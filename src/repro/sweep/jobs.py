@@ -70,15 +70,8 @@ def circuit_fingerprint(circuit: Circuit) -> str:
 
 
 def config_fingerprint(config: CompilerConfig) -> str:
-    """SHA-256 over the full config, nested models included.
-
-    The compute-kernel ``backend`` is excluded: backends are bit-identical
-    by contract (the fuzz parity oracle enforces it), so a cache entry
-    produced on one backend must hit on any other.
-    """
-    payload = asdict(config)
-    payload.pop("backend", None)
-    canonical = json.dumps(payload, sort_keys=True, default=repr)
+    """SHA-256 over the full config, nested models included."""
+    canonical = json.dumps(asdict(config), sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

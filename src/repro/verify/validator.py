@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .. import kernels
 from ..arch.grid import Position
 from ..ir import gates as g
 from ..ir.circuit import Circuit
@@ -218,25 +217,6 @@ class ScheduleValidator:
 
     def check_timelines(self) -> None:
         """Per-qubit: ops in schedule order, never overlapping in time."""
-        ops = self.schedule.ops
-        if kernels.choose(len(ops), kernels.INTERVAL_MIN_OPS) == "numpy":
-            from ..kernels import numpy_impl
-
-            qubits: List[int] = []
-            starts: List[float] = []
-            ends: List[float] = []
-            for op in ops:
-                s = op.start
-                e = s + op.duration
-                for qubit in op.qubits:
-                    qubits.append(qubit)
-                    starts.append(s)
-                    ends.append(e)
-            if numpy_impl.timelines_clean(qubits, starts, ends, self.eps):
-                self.report.checks["timeline"] = len(qubits)
-                return
-            # Violations exist: rebuild the report with the pure scan so
-            # messages and ordering match the pure backend exactly.
         last: Dict[int, ScheduledOp] = {}
         intervals = 0
         for op in self.schedule.ops:
@@ -258,35 +238,6 @@ class ScheduleValidator:
 
     def check_cell_conflicts(self) -> None:
         """Per-cell: resource footprints never overlap in time."""
-        ops = self.schedule.ops
-        if kernels.choose(len(ops), kernels.INTERVAL_MIN_OPS) == "numpy":
-            from ..kernels import numpy_impl
-
-            cell_ids: Dict[Position, int] = {}
-            cells: List[int] = []
-            starts: List[float] = []
-            ends: List[float] = []
-            uids: List[int] = []
-            for op in ops:
-                if op.duration <= 0:
-                    continue
-                s = op.start
-                e = s + op.duration
-                for cell in op.resource_cells():
-                    cid = cell_ids.get(cell)
-                    if cid is None:
-                        cid = len(cell_ids)
-                        cell_ids[cell] = cid
-                    cells.append(cid)
-                    starts.append(s)
-                    ends.append(e)
-                    uids.append(op.uid)
-            if numpy_impl.cell_conflicts_clean(
-                cells, starts, ends, uids, self.eps
-            ):
-                self.report.checks["cell-conflict"] = len(cells)
-                return
-            # Violations exist: fall back to the pure scan for the report.
         by_cell: Dict[Position, List[Tuple[float, float, int]]] = {}
         for op in self.schedule.ops:
             if op.duration <= 0:
@@ -314,18 +265,6 @@ class ScheduleValidator:
 
     def check_min_start(self) -> None:
         """External release times (``min_start`` floors) are honoured."""
-        ops = self.schedule.ops
-        if kernels.choose(len(ops), kernels.INTERVAL_MIN_OPS) == "numpy":
-            from ..kernels import numpy_impl
-
-            if numpy_impl.min_start_clean(
-                [op.start for op in ops],
-                [op.min_start for op in ops],
-                self.eps,
-            ):
-                self.report.checks["min-start"] = len(ops)
-                return
-            # Violations exist: fall back to the pure scan for the report.
         for op in self.schedule.ops:
             if op.start + self.eps < op.min_start:
                 self._flag(

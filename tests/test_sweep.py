@@ -19,7 +19,7 @@ from repro.sweep import (
     plan_jobs,
     use_engine,
 )
-from repro.workloads import ising_2d
+from repro.workloads import ising_2d, load_benchmark
 
 
 def small_circuit(name="c"):
@@ -60,6 +60,23 @@ class TestJobIdentity:
         ):
             assert config_fingerprint(variant) != config_fingerprint(base)
             assert job_key(small_circuit(), variant) != job_key(small_circuit(), base)
+
+    def test_golden_job_keys(self, monkeypatch):
+        """Pinned keys: every cache tier, service request and gateway job id
+        is addressed by these digests, so a change to the key derivation or
+        to the config's fields must show up here.  The source-tree revision
+        is pinned: it moves with every edit by design."""
+        from repro.sweep import jobs
+
+        monkeypatch.setattr(jobs, "compiler_revision", lambda: "0" * 64)
+        demo = Circuit(2, name="demo").h(0).cx(0, 1).t(1)
+        assert job_key(demo, CompilerConfig()) == (
+            "5487f57bfd870126b9784ff4f22572fcac2af478e3d139c459df429f03f395c1"
+        )
+        assert job_key(
+            load_benchmark("ising_2d_10x10"),
+            CompilerConfig(routing_paths=4, num_factories=2),
+        ) == "442fad9e20be7470bd03ce7f6aa9af4c4e4d9b8835f71a8cde3b09b817442003"
 
 
 class TestPlanner:
