@@ -79,6 +79,13 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["cases"]
         assert data["meta"]["mode"] == "fast"
+        assert "backend" not in data["meta"]
+
+    def test_bench_cli_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--fast", "--backend", "pure", "--output", "-"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_bench_cli_baseline_comparison(self, tmp_path, capsys):
         out = tmp_path / "BENCH_a.json"

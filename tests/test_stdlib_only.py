@@ -2,7 +2,8 @@
 
 Importing numpy costs over 10 MiB of resident memory per process (every
 sweep worker and service shard pays it), and the compiler has no use for
-it, so no entry point may pull it in — not even transitively.
+it, so no entry point may pull it in — not even transitively, and no
+configuration selects an alternative implementation.
 """
 
 import os
@@ -10,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.compiler import CompilerConfig
 
 ENTRY_MODULES = (
     "repro.cli",
@@ -36,3 +40,8 @@ def test_entry_points_never_import_numpy():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False", out.stdout + out.stderr
+
+
+def test_config_has_no_backend_field():
+    with pytest.raises(TypeError):
+        CompilerConfig(backend="pure")
