@@ -9,6 +9,7 @@ Usage::
     python -m repro serve --jobs 4 --cache-dir ~/.cache/repro/sweep
     python -m repro fuzz --seed 0 --iterations 200 --jobs 4
     python -m repro chaos --seed 0 --scenarios 200
+    python -m repro bench --fast --baseline BENCH.json --output -
     python -m repro list
 
 The CLI is intentionally thin: it parses arguments, calls the library and
@@ -18,8 +19,9 @@ across figures are deduped, misses fan out over ``--jobs`` processes, and
 results persist in a content-addressed cache (``--cache-dir``, disabled by
 ``--no-cache``) so re-running a figure after a no-op change is near
 instant.  ``repro serve`` keeps the same engine alive as a long-lived TCP
-compile service (see :mod:`repro.service`), and ``repro service-bench``
-measures its throughput into ``BENCH_service.json``.
+compile service (see :mod:`repro.service`).  ``repro bench`` is the one
+benchmark harness: it gates fingerprints and schedule quality against the
+committed ``BENCH.json`` (see :mod:`repro.perf.bench`).
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ from .experiments import ALL_EXPERIMENTS, collect_jobs
 from .ir import qasm
 from .ir.passes import optimize
 from .metrics.report import Table
-from .perf import BENCH_FILENAME, BENCH_SERVICE_FILENAME
-from .perf.service_bench import (
-    run_service_bench,
-    service_report_text,
-    write_service_report,
-)
-from .perf.cache_bench import BENCH_CACHE_FILENAME
+from .perf import BENCH_FILENAME
 from .gateway import DEFAULT_GATEWAY_PORT as GATEWAY_DEFAULT_PORT
 from .service import DEFAULT_MAX_PENDING, run_server
 from .service import DEFAULT_CACHE_PORT as CACHE_DEFAULT_PORT
@@ -98,64 +94,34 @@ def _build_parser() -> argparse.ArgumentParser:
                               "schedule; exit 1 on any violation")
 
     bench_perf = sub.add_parser(
-        "bench", help="time end-to-end compilation over the workload suite"
+        "bench",
+        help="compile every (case, strategy) row of the workload matrix and "
+             "gate fingerprints and schedule quality against a baseline",
     )
     bench_perf.add_argument("--fast", action="store_true",
-                            help="smoke matrix (sub-second) instead of the full suite")
-    bench_perf.add_argument("--repeat", type=int, default=1,
-                            help="timing repetitions per case (best is kept)")
+                            help="smoke matrix (seconds) instead of the full suite")
     bench_perf.add_argument("--workload", action="append", dest="workloads",
                             help="repeatable workload-name filter")
     bench_perf.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes (fingerprints stay identical)")
-    bench_perf.add_argument("--cache-dir", default=None,
-                            help="resolve cases through a persistent sweep cache "
-                                 "(wall then measures resolution, not compilation)")
-    bench_perf.add_argument("--no-cache", action="store_true",
-                            help="ignore --cache-dir (pure compile timing)")
-    bench_perf.add_argument("--remote-cache", metavar="HOST[:PORT]", default=None,
-                            help="resolve misses through a `repro cache-serve` "
-                                 "peer as the tier below the disk cache")
+                            help="worker processes (rows stay identical)")
     bench_perf.add_argument("--output", "-o", default=None,
                             help=f"output JSON path (default {BENCH_FILENAME}; '-' to skip)")
     bench_perf.add_argument("--baseline", default=None,
-                            help="compare against a previous BENCH_*.json "
-                                 "(exit 1 on behavioural drift)")
+                            help="gate against a previous report (exit 1 on "
+                                 "default-row fingerprint drift, any quality "
+                                 "regression, or no shared row)")
     bench_perf.add_argument("--validate", action="store_true",
-                            help="replay-validate every case's schedule "
+                            help="replay-validate every row's schedule "
                                  "outside the timed region")
     bench_perf.add_argument("--profile", action="store_true",
-                            help="run one instrumented compile per case after "
-                                 "the timed repetitions and attach the "
+                            help="run one instrumented compile per default "
+                                 "row after the timed one and attach the "
                                  "per-phase breakdown as meta.phases")
     bench_perf.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
                             default=None,
-                            help="compare two existing BENCH_*.json files "
-                                 "(per-case and per-phase speedups; exit 1 on "
-                                 "fingerprint drift) instead of running")
-
-    quality_cmd = sub.add_parser(
-        "quality-bench",
-        help="score schedule quality (makespan vs Eq. 2 bound, eviction "
-             "churn) per benchmark case and strategy",
-    )
-    quality_cmd.add_argument("--fast", action="store_true",
-                             help="smoke matrix (the CI gate) instead of the full suite")
-    quality_cmd.add_argument("--strategy", action="append", dest="strategies",
-                             help="repeatable strategy filter (default: all registered)")
-    quality_cmd.add_argument("--workload", action="append", dest="workloads",
-                             help="repeatable workload-name filter")
-    quality_cmd.add_argument("--jobs", "-j", type=int, default=1,
-                             help="worker processes (reports stay identical)")
-    quality_cmd.add_argument("--output", "-o", default=None,
-                             help="output JSON path (default BENCH_quality.json; '-' to skip)")
-    quality_cmd.add_argument("--baseline", default=None,
-                             help="gate against a previous BENCH_quality.json "
-                                  "(exit 1 on any quality regression; "
-                                  "improvements pass)")
-    quality_cmd.add_argument("--validate", action="store_true",
-                             help="replay-validate every compiled schedule "
-                                  "outside the timed region")
+                            help="gate report B against report A (same "
+                                 "rules as --baseline, plus per-phase "
+                                 "speedups) instead of running")
 
     serve_cmd = sub.add_parser(
         "serve", help="run the TCP compile service (JSON lines, see repro.service)"
@@ -238,10 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="fault episodes to run")
     chaos_cmd.add_argument("--jobs", "-j", type=int, default=2,
                            help="worker processes in the service under chaos")
-    chaos_cmd.add_argument("--baseline", default="BENCH_routing.json",
+    chaos_cmd.add_argument("--baseline", default=BENCH_FILENAME,
                            help="fingerprint baseline for the post-chaos "
-                                "check (default BENCH_routing.json; '-' to "
-                                "skip)")
+                                f"check (default {BENCH_FILENAME}; '-' to "
+                                "skip; a missing file fails the campaign)")
 
     cserve_cmd = sub.add_parser(
         "cache-serve",
@@ -261,43 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cserve_cmd.add_argument("--quarantine-cap", type=int, default=None,
                             help="bound on quarantined entries kept for "
                                  "post-mortems (default 64)")
-
-    cbench_cmd = sub.add_parser(
-        "cache-bench",
-        help="measure a cold engine fleet warming from one seeded cache peer",
-    )
-    cbench_cmd.add_argument("--fast", action="store_true",
-                            help="smoke matrix (sub-second) instead of the "
-                                 "full suite")
-    cbench_cmd.add_argument("--engines", type=int, default=3,
-                            help="cold engines warmed from the seeded peer "
-                                 "(each must perform zero compilations)")
-    cbench_cmd.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes in the seeding engine")
-    cbench_cmd.add_argument("--output", "-o", default=None,
-                            help="output JSON path "
-                                 f"(default {BENCH_CACHE_FILENAME}; '-' to skip)")
-    cbench_cmd.add_argument("--baseline", default=None,
-                            help="compare fingerprints against a previous "
-                                 "BENCH_*.json (exit 1 on drift)")
-
-    sbench_cmd = sub.add_parser(
-        "service-bench",
-        help="measure service throughput (cold/warm/coalesce/gateway phases)",
-    )
-    sbench_cmd.add_argument("--jobs", "-j", type=int, default=2,
-                            help="worker processes in the service under test")
-    sbench_cmd.add_argument("--requests", type=int, default=200,
-                            help="round-trips in the sustained warm phase")
-    sbench_cmd.add_argument("--clients", type=int, default=8,
-                            help="concurrent connections in the coalesce burst")
-    sbench_cmd.add_argument("--output", "-o", default=None,
-                            help="output JSON path "
-                                 f"(default {BENCH_SERVICE_FILENAME}; '-' to skip)")
-    sbench_cmd.add_argument("--baseline", default=None,
-                            help="gate the gateway-phase fingerprints against "
-                                 "a previous BENCH_service.json (exit 1 on "
-                                 "drift)")
 
     gateway_cmd = sub.add_parser(
         "gateway",
@@ -428,35 +357,54 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _load_report(path: str, what: str):
+    """A report dict from ``path``, or None after printing why not."""
     import json
 
-    from .perf import bench_cases, compare_reports, has_drift, run_bench
+    try:
+        with open(path) as handle:
+            report = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read {what} {path}: {exc}")
+        return None
+    if not isinstance(report, dict):
+        print(f"error: {what} {path} is not a JSON object")
+        return None
+    return report
+
+
+def _gate(baseline: dict, current: dict, against: str) -> int:
+    """Print the comparison of two reports; 1 when the gate fails."""
+    from .perf import compare_reports
+
+    lines, errors = compare_reports(baseline, current)
+    for line in lines:
+        print(line)
+    for line in errors:
+        print(f"error: {line}")
+    if errors:
+        print(f"error: gate failed vs {against}")
+        return 1
+    return 0
+
+
+def _cmd_bench(args) -> int:
+    from .perf import bench_cases, run_bench
+    from .perf.bench import compare_phases, phases_table
 
     if args.compare:
-        from .perf.bench import compare_phases, report_from_dict
-
         path_a, path_b = args.compare
-        try:
-            with open(path_a) as handle:
-                base = json.load(handle)
-            with open(path_b) as handle:
-                cur = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read report: {exc}")
+        base = _load_report(path_a, "report")
+        cur = _load_report(path_b, "report")
+        if base is None or cur is None:
             return 2
-        current = report_from_dict(cur)
-        for line in compare_reports(base, current):
-            print(line)
-        phase_lines = compare_phases(base.get("meta", {}), current.meta)
+        code = _gate(base, cur, path_a)
+        phase_lines = compare_phases(base.get("meta", {}), cur.get("meta", {}))
         if phase_lines:
             print()
             for line in phase_lines:
                 print(line)
-        if has_drift(base, current):
-            print(f"error: behavioural fingerprint drift: {path_a} vs {path_b}")
-            return 1
-        return 0
+        return code
 
     if not bench_cases(args.fast, args.workloads):
         known = sorted({c.workload for c in bench_cases(args.fast)})
@@ -466,26 +414,15 @@ def _cmd_bench(args) -> int:
     baseline = None
     if args.baseline:
         # read before the run so --output may overwrite the baseline file
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}")
+        baseline = _load_report(args.baseline, "baseline")
+        if baseline is None:
             return 2
-    try:
-        remote = _make_remote(args.remote_cache)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
     try:
         report = run_bench(
             fast=args.fast,
-            repeat=args.repeat,
             workloads=args.workloads,
             progress=print,
             jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            remote=remote,
             validate=args.validate,
             profile=args.profile,
         )
@@ -493,88 +430,22 @@ def _cmd_bench(args) -> int:
         print(exc.report.summary())
         print("error: schedule failed replay validation")
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
     print()
     print(report.to_text())
     if args.profile:
-        from .perf.bench import phases_table
-
         print()
         print(phases_table(report.meta.get("phases", {})))
     if args.validate:
-        print(f"[verify] {len(report.cases)} case schedule(s) replay-validated, 0 violations")
+        rows = sum(len(per_strategy) for per_strategy in report.cases.values())
+        print(f"[verify] {rows} schedule(s) replay-validated, 0 violations")
     output = args.output if args.output is not None else BENCH_FILENAME
     if output != "-":
         report.write(output)
         print(f"wrote {output}")
-    if baseline is not None:
-        print()
-        for line in compare_reports(baseline, report):
-            print(line)
-        if has_drift(baseline, report):
-            print("error: behavioural fingerprint drift vs baseline")
-            return 1
-    return 0
-
-
-def _cmd_quality_bench(args) -> int:
-    import json
-
-    from .perf.quality_bench import (
-        BENCH_QUALITY_FILENAME,
-        compare_quality,
-        quality_regressions,
-        run_quality_bench,
-    )
-
-    baseline = None
-    if args.baseline:
-        # read before the run so --output may overwrite the baseline file
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}")
-            return 2
-    try:
-        report = run_quality_bench(
-            fast=args.fast,
-            strategies=args.strategies,
-            workloads=args.workloads,
-            validate=args.validate,
-            jobs=args.jobs,
-            progress=print,
-        )
-    except ValidationError as exc:
-        print(exc.report.summary())
-        print("error: schedule failed replay validation")
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    if baseline is None:
+        return 0
     print()
-    print(report.to_text())
-    if args.validate:
-        rows = sum(len(v) for v in report.cases.values())
-        print(f"[verify] {rows} schedule(s) replay-validated, 0 violations")
-    output = args.output if args.output is not None else BENCH_QUALITY_FILENAME
-    if output != "-":
-        report.write(output)
-        print(f"wrote {output}")
-    if baseline is not None:
-        print()
-        for line in compare_quality(baseline, report):
-            print(line)
-        regressions = quality_regressions(baseline, report)
-        if regressions:
-            for line in regressions:
-                print(f"error: {line}")
-            print("error: schedule quality regressed vs baseline")
-            return 1
-        print("quality gate: no regressions vs baseline")
-    return 0
+    return _gate(baseline, report.as_dict(), args.baseline)
 
 
 def _cmd_serve(args) -> int:
@@ -660,87 +531,6 @@ def _cmd_cache_serve(args) -> int:
     )
 
 
-def _cmd_cache_bench(args) -> int:
-    import json
-
-    from .perf import has_drift
-    from .perf.cache_bench import run_cache_bench, write_cache_report
-
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}")
-            return 2
-    report = run_cache_bench(
-        fast=args.fast,
-        engines=args.engines,
-        jobs=args.jobs,
-        progress=print,
-    )
-    print()
-    print(report.to_text())
-    output = args.output if args.output is not None else BENCH_CACHE_FILENAME
-    if output != "-":
-        write_cache_report(report, output)
-        print(f"wrote {output}")
-    warm = report.meta["cache_bench"]["warm_fleet"]
-    if warm["compiled"] != 0:
-        print(
-            f"error: warm fleet performed {warm['compiled']} compilation(s); "
-            "expected 0 (every case must resolve from the seeded peer)"
-        )
-        return 1
-    if baseline is not None:
-        if has_drift(baseline, report):
-            print("error: behavioural fingerprint drift vs baseline")
-            return 1
-        print(f"fingerprints identical to {args.baseline} across all tier paths")
-    return 0
-
-
-def _cmd_service_bench(args) -> int:
-    import json
-
-    from .perf.service_bench import gateway_baseline_mismatches
-
-    baseline = None
-    if args.baseline:
-        # read before the run so --output may overwrite the baseline file
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}")
-            return 2
-    report = run_service_bench(
-        jobs=args.jobs,
-        requests=args.requests,
-        clients=args.clients,
-        progress=print,
-    )
-    print()
-    print(service_report_text(report))
-    output = args.output if args.output is not None else BENCH_SERVICE_FILENAME
-    if output != "-":
-        write_service_report(report, output)
-        print(f"wrote {output}")
-    if baseline is not None:
-        mismatches = gateway_baseline_mismatches(baseline, report)
-        if mismatches:
-            print("error: gateway-phase fingerprint drift vs baseline:")
-            for line in mismatches:
-                print(f"  {line}")
-            return 1
-        print(
-            f"gateway fingerprints identical to {args.baseline} "
-            "across all served cases"
-        )
-    return 0
-
-
 def _cmd_gateway(args) -> int:
     import time as _time
 
@@ -805,8 +595,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_experiment(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "quality-bench":
-        return _cmd_quality_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "fuzz":
@@ -815,10 +603,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_chaos(args)
     if args.command == "cache-serve":
         return _cmd_cache_serve(args)
-    if args.command == "cache-bench":
-        return _cmd_cache_bench(args)
-    if args.command == "service-bench":
-        return _cmd_service_bench(args)
     if args.command == "gateway":
         return _cmd_gateway(args)
     if args.command == "list":

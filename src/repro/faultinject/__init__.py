@@ -19,7 +19,7 @@ invariants after every scenario:
   response), and corrupt entries are quarantined, not served;
 * chaos does not change results: after the campaign, the fast benchmark
   matrix is compiled through the battered server and compared against
-  ``BENCH_routing.json``.
+  the ``default`` rows of ``BENCH.json``.
 
 Determinism follows the fuzzing subsystem's splitmix64 seed scheme
 (:mod:`repro.fuzz.rng`): scenario ``i`` of seed ``S`` is the same faults

@@ -118,7 +118,7 @@ def run_chaos(
     scenarios: int = 200,
     jobs: int = 2,
     cache_dir: Optional[str] = None,
-    bench_baseline: Optional[str] = "BENCH_routing.json",
+    bench_baseline: Optional[str] = "BENCH.json",
     progress=None,
 ) -> ChaosReport:
     """Run one seeded chaos campaign; see the module docstring.
@@ -129,9 +129,10 @@ def run_chaos(
         jobs: worker processes in the battered server.
         cache_dir: on-disk cache root (default: a fresh temp dir, so
             campaigns are independent).
-        bench_baseline: path to a ``BENCH_routing.json`` to fingerprint-
-            check the fast matrix against after the chaos ('-' or None,
-            or a missing file, skips that phase).
+        bench_baseline: path to a ``BENCH.json`` whose ``default`` rows
+            the fast matrix is fingerprint-checked against after the
+            chaos.  Only '-' or None skips that phase; a missing,
+            unreadable or case-disjoint baseline fails the campaign.
         progress: optional callable for per-scenario progress lines.
     """
     report = ChaosReport(seed=seed, scenarios=scenarios)
@@ -564,19 +565,29 @@ def _bench_phase(
         return
     path = Path(baseline_path)
     if not path.is_file():
+        report.bench_mismatches.append(f"missing baseline {path}")
         return
     try:
-        baseline = json.loads(path.read_text())
-        cases = baseline["cases"]
-    except (ValueError, KeyError, OSError) as exc:
-        report.bench_mismatches.append(f"unreadable baseline {path}: {exc}")
+        cases = json.loads(path.read_text())["cases"]
+        if not isinstance(cases, dict):
+            raise ValueError("'cases' is not an object")
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        report.bench_mismatches.append(f"unreadable baseline {path}: {exc!r}")
         return
     from ..perf import bench_cases
 
+    wanted = []
     for case in bench_cases(fast=True):
-        want = cases.get(case.key)
-        if want is None:
-            continue
+        row = cases.get(case.key)
+        want = row.get("default") if isinstance(row, dict) else None
+        if isinstance(want, dict):
+            wanted.append((case, want))
+    if not wanted:
+        report.bench_mismatches.append(
+            f"baseline {path} has no default row for any fast-matrix case"
+        )
+        return
+    for case, want in wanted:
         try:
             with Client(host, port, timeout=60.0) as client:
                 reply = client.compile(

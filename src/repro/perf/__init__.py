@@ -1,20 +1,13 @@
-"""Compiler performance benchmarking.
+"""Compiler benchmarking: one harness and one committed baseline.
 
-Three harnesses, three committed trajectory files:
+* :mod:`~repro.perf.bench` (``repro bench``) compiles every (case,
+  strategy) row of the workload matrix and gates on the behavioural
+  fingerprint of the ``default`` rows and on one-sided schedule quality
+  of every row — ``BENCH.json``;
+* :mod:`~repro.perf.profiler` is the per-phase attribution layer the
+  compile pipeline carries (``repro bench --profile``).
 
-* :mod:`~repro.perf.bench` (``repro bench``) times end-to-end
-  compilations over the workload suite and gates on the behavioural
-  fingerprint — ``BENCH_routing.json``;
-* :mod:`~repro.perf.service_bench` (``repro service-bench``) measures
-  the compile service's cold/warm/coalesce behaviour and sustained
-  throughput — ``BENCH_service.json``;
-* :mod:`~repro.perf.cache_bench` (``repro cache-bench``) drives the
-  tiered cache through every resolution path — a cold engine fleet
-  warming from one seeded ``cache-serve`` peer, disk/memo promotion,
-  and a peer outage — ``BENCH_cache.json``.
-
-plus :mod:`~repro.perf.profiler`, the per-phase attribution layer both
-harnesses and the compile pipeline share (``repro bench --profile``).
+Per-layer timing (cache tiers, service, gateway) lives in ``perfbench/``.
 
 Exports resolve lazily (PEP 562): the profiler's seams live inside the
 hot compile modules (routing, scheduling, verify), so importing
@@ -24,35 +17,15 @@ with it the whole compiler package — back in through this ``__init__``.
 
 _BENCH_EXPORTS = {
     "BENCH_FILENAME",
+    "QUALITY_RTOL",
     "BenchCase",
     "BenchReport",
     "bench_cases",
     "compare_reports",
-    "has_drift",
     "run_bench",
 }
-_SERVICE_EXPORTS = {
-    "BENCH_SERVICE_FILENAME",
-    "run_service_bench",
-    "service_report_text",
-    "write_service_report",
-}
-_CACHE_BENCH_EXPORTS = {
-    "BENCH_CACHE_FILENAME",
-    "run_cache_bench",
-    "write_cache_report",
-}
-_QUALITY_EXPORTS = {
-    "BENCH_QUALITY_FILENAME",
-    "QualityReport",
-    "compare_quality",
-    "quality_regressions",
-    "run_quality_bench",
-}
 
-__all__ = sorted(
-    _BENCH_EXPORTS | _SERVICE_EXPORTS | _CACHE_BENCH_EXPORTS | _QUALITY_EXPORTS
-)
+__all__ = sorted(_BENCH_EXPORTS)
 
 
 def __getattr__(name):
@@ -60,16 +33,4 @@ def __getattr__(name):
         from . import bench
 
         return getattr(bench, name)
-    if name in _SERVICE_EXPORTS:
-        from . import service_bench
-
-        return getattr(service_bench, name)
-    if name in _CACHE_BENCH_EXPORTS:
-        from . import cache_bench
-
-        return getattr(cache_bench, name)
-    if name in _QUALITY_EXPORTS:
-        from . import quality_bench
-
-        return getattr(quality_bench, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

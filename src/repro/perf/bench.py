@@ -1,38 +1,43 @@
-"""End-to-end compile-time benchmark harness.
+"""The benchmark harness behind ``repro bench``: behaviour and quality gates.
 
-The routing/scheduling inner loop is the compiler's hot path; this module
-measures it the way users experience it — wall time of full compilations
-over the fig9/fig11 workload suite (condensed-matter Trotter circuits at
-several lattice sizes, routing-path counts and factory counts).
+Every (case, strategy) pair of the fig9/fig11 workload matrix (Trotter
+circuits at several lattice sizes, routing-path counts and factory
+counts) is compiled once under every registered placement/delivery
+strategy.  One report, ``BENCH.json``, records per row:
 
-Each run writes ``BENCH_routing.json``: per-case wall time plus the
-behavioural fingerprint (makespan, scheduler stats, op counts), so future
-performance work has a trajectory to regress against — a speedup only
-counts when the fingerprint is unchanged.
+* the behavioural fingerprint (makespan, op/move counts, scheduler
+  stats) and ``total_qubits``;
+* schedule quality: the Eq. 2 ``lower_bound``, the gated ``quality``
+  ratio (makespan over :func:`repro.metrics.quality_denominator`, so
+  Clifford-only cases degrade to "time per d" rather than dividing by
+  zero) and the churn counters behind it;
+* one ``wall``; ``total_wall`` sums the ``default`` rows.
+
+:func:`compare_reports` is the one gate over two such reports:
+
+* a fingerprint drift on a shared ``default`` row fails — a perf change
+  must not alter the compiled schedule;
+* a ``quality`` rise beyond :data:`QUALITY_RTOL` on any shared row
+  fails; improvements pass (regenerate the file to ratchet them in);
+* a baseline with no ``cases``, or sharing no row with the run, fails —
+  a gate that compares nothing must not pass.
+
+Walls are compared only between reports recorded on the same host
+(``meta.host``).  Per-layer timing lives in ``perfbench/``.
 
 Usage::
 
-    repro bench                 # full suite, writes BENCH_routing.json
+    repro bench                 # full suite, writes BENCH.json
     repro bench --fast          # smoke suite (seconds), for CI
-    repro bench --repeat 3      # best-of-3 wall times
-    repro bench --jobs 4        # compile the matrix on 4 processes
-    repro bench --cache-dir DIR # resolve through the persistent sweep cache
-    repro bench --baseline BENCH_routing.json   # compare against a file
-
-With ``--jobs`` the behavioural fingerprints are unchanged (results are
-bit-identical to serial compilation); per-case walls are then measured
-inside the workers and ``meta.sweep_wall`` records the actual elapsed time
-of the whole sweep.  With a cache, per-case wall becomes the time to
-*resolve* the case through the engine (near zero when warm), and
-``meta.cache`` records the hit/miss counters — the sweep-level speedup the
-trajectory is meant to capture.
+    repro bench --jobs 4        # compile the rows on 4 processes
+    repro bench --baseline BENCH.json   # gate against a file
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
-import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,12 +47,28 @@ from .. import __version__
 from ..compiler.config import CompilerConfig
 from ..compiler.pipeline import FaultTolerantCompiler
 from ..compiler.result import FINGERPRINT_FIELDS
-from ..sweep import CompileCache, CompileJob, SweepEngine
+from ..metrics.spacetime import quality_denominator
+from ..strategies import STRATEGY_NAMES
 from ..workloads import load_benchmark
 from . import profiler
 
-#: default output file, tracked over time as the perf trajectory.
-BENCH_FILENAME = "BENCH_routing.json"
+#: default output file, the committed baseline CI gates against.
+BENCH_FILENAME = "BENCH.json"
+
+#: the strategy whose rows carry the fingerprint gate and ``total_wall``.
+DEFAULT_STRATEGY = "default"
+
+#: relative tolerance of the quality gate.  Compiles are deterministic,
+#: so any real regression exceeds this; the epsilon only absorbs float
+#: round-tripping through JSON.
+QUALITY_RTOL = 1e-9
+
+#: aux-stat counters copied into every row (0.0 when absent).
+_AUX_COUNTERS = (
+    "restores",
+    "restore_cycle_breaks",
+    "displacement_aborts",
+)
 
 #: (workload, routing_paths, num_factories) matrix for the full suite —
 #: the fig9 sweep shape (r x factories) plus fig11-style r variation.
@@ -95,9 +116,9 @@ class BenchCase:
 
 @dataclass
 class BenchReport:
-    """Results of one harness run."""
+    """Results of one harness run: ``cases[case_key][strategy] -> row``."""
 
-    cases: Dict[str, dict] = field(default_factory=dict)
+    cases: Dict[str, Dict[str, dict]] = field(default_factory=dict)
     total_wall: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -116,16 +137,21 @@ class BenchReport:
     def to_text(self) -> str:
         width = max((len(k) for k in self.cases), default=10)
         lines = [
-            f"{'case'.ljust(width)}  {'wall_s':>8}  {'makespan':>9}  "
-            f"{'ops':>6}  {'moves':>6}"
+            f"{'case'.ljust(width)}  {'strategy':>9}  {'wall_s':>8}  "
+            f"{'makespan':>9}  {'ops':>6}  {'moves':>6}  {'quality':>8}  "
+            f"{'evict':>6}"
         ]
-        for key, row in self.cases.items():
-            lines.append(
-                f"{key.ljust(width)}  {row['wall']:>8.3f}  "
-                f"{row['makespan']:>9.1f}  {row['num_ops']:>6}  "
-                f"{row['num_moves']:>6}"
-            )
-        lines.append(f"total wall time: {self.total_wall:.3f}s")
+        for key, per_strategy in self.cases.items():
+            for strategy, row in per_strategy.items():
+                lines.append(
+                    f"{key.ljust(width)}  {strategy:>9}  {row['wall']:>8.3f}  "
+                    f"{row['makespan']:>9.1f}  {row['num_ops']:>6}  "
+                    f"{row['num_moves']:>6}  {row['quality']:>8.3f}  "
+                    f"{row['stats'].get('evictions', 0):>6.0f}"
+                )
+        lines.append(
+            f"total wall time ({DEFAULT_STRATEGY} rows): {self.total_wall:.3f}s"
+        )
         return "\n".join(lines)
 
 
@@ -138,60 +164,70 @@ def bench_cases(fast: bool = False, workloads: Optional[List[str]] = None) -> Li
     return cases
 
 
-def _case_config(case: BenchCase) -> CompilerConfig:
-    return CompilerConfig(
-        routing_paths=case.routing_paths, num_factories=case.num_factories
-    )
-
-
-def _row_from_result(result, wall: float) -> dict:
+def host_fingerprint() -> dict:
+    """CPU model, core count and Python version: walls compare only within one."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
     return {
-        "wall": round(wall, 4),
-        "total_qubits": result.total_qubits,
-        **result.fingerprint(),
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
     }
 
 
-def _run_case(
-    case: BenchCase,
-    repeat: int,
-    validate: bool = False,
-    profile: bool = False,
-) -> dict:
-    circuit = load_benchmark(case.workload)
-    config = _case_config(case)
-    compiler = FaultTolerantCompiler(config)
-    walls: List[float] = []
-    result = None
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        result = compiler.compile(circuit)
-        walls.append(time.perf_counter() - start)
-    # best-of-N is the headline number (least scheduler/cache noise);
-    # the median rides along so cross-machine comparisons can see
-    # dispersion.
-    row = _row_from_result(result, min(walls))
-    row["wall_median"] = round(statistics.median(walls), 4)
-    if profile:
-        # one extra instrumented compile AFTER the timed repetitions, so
-        # attribution never contaminates the walls it explains
-        with profiler.capture() as prof:
-            compiler.compile(circuit)
-        row["phases"] = prof.as_dict()
-    if validate:
-        # outside the timed region: walls measure compilation, not
-        # auditing
-        from ..verify import raise_if_invalid, validate_result
-
-        raise_if_invalid(
-            validate_result(result, circuit, config, label=case.key)
-        )
+def _row(result, wall: float) -> dict:
+    aux = result.aux_stats
+    row = {
+        "wall": round(wall, 4),
+        "total_qubits": result.total_qubits,
+        **result.fingerprint(),
+        "lower_bound": result.lower_bound,
+        "quality": round(
+            result.execution_time / quality_denominator(result.lower_bound), 6
+        ),
+    }
+    for counter in _AUX_COUNTERS:
+        row[counter] = aux.get(counter, 0.0)
     return row
 
 
-def _run_case_payload(payload: Tuple[BenchCase, int, bool, bool]) -> dict:
-    """Worker entry point for ``--jobs``: one timed case per process."""
-    return _run_case(*payload)
+def _run_row(
+    payload: Tuple[BenchCase, str, bool, bool]
+) -> Tuple[dict, Optional[dict]]:
+    """One timed (case, strategy) compile; module-level for ``--jobs``."""
+    case, strategy, validate, profile = payload
+    circuit = load_benchmark(case.workload)
+    config = CompilerConfig(
+        routing_paths=case.routing_paths,
+        num_factories=case.num_factories,
+        strategy=strategy,
+    )
+    compiler = FaultTolerantCompiler(config)
+    start = time.perf_counter()
+    result = compiler.compile(circuit)
+    row = _row(result, time.perf_counter() - start)
+    phases = None
+    if profile and strategy == DEFAULT_STRATEGY:
+        # one extra instrumented compile AFTER the timed one, so
+        # attribution never contaminates the wall it explains
+        with profiler.capture() as prof:
+            compiler.compile(circuit)
+        phases = prof.as_dict()
+    if validate:
+        # outside the timed region: walls measure compilation, not auditing
+        from ..verify import raise_if_invalid, validate_result
+
+        raise_if_invalid(
+            validate_result(result, circuit, config, label=f"{case.key}/{strategy}")
+        )
+    return row, phases
 
 
 def _merge_phase_dicts(total: Dict[str, dict], phases: Dict[str, dict]) -> None:
@@ -205,143 +241,75 @@ def _merge_phase_dicts(total: Dict[str, dict], phases: Dict[str, dict]) -> None:
 
 def run_bench(
     fast: bool = False,
-    repeat: int = 1,
     workloads: Optional[List[str]] = None,
     progress=None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    remote=None,
     validate: bool = False,
     profile: bool = False,
 ) -> BenchReport:
-    """Compile the suite, timing each case (best-of-``repeat``).
+    """Compile every (case, strategy) row of the matrix once.
 
     Args:
         fast: use the smoke matrix instead of the full fig9/fig11 suite.
-        repeat: timing repetitions per case; the minimum wall time is kept
-            (behavioural outputs are deterministic across repetitions).
         workloads: optional workload-name filter.
-        progress: optional callable invoked with a line per finished case.
-        jobs: worker processes; behavioural outputs stay bit-identical, and
-            ``meta.sweep_wall`` records the true elapsed time of the sweep.
-        cache_dir: resolve cases through a persistent
-            :class:`~repro.sweep.CompileCache` rooted here; per-case wall is
-            then the resolution time (near zero when warm) and ``meta.cache``
-            carries the hit/miss counters.
-        remote: optional :class:`~repro.service.RemoteCache` tier below the
-            disk cache (the ``--remote-cache`` flag); forces the engine
-            resolution path even without ``cache_dir``.  Per-tier counters
-            land in ``meta.cache_tiers``.
-        validate: replay-validate every case's schedule (outside the timed
+        progress: optional callable invoked with a line per finished row.
+        jobs: worker processes; rows stay bit-identical, walls are then
+            measured inside the workers and ``meta.sweep_wall`` records the
+            true elapsed time of the sweep.
+        validate: replay-validate every row's schedule (outside the timed
             region); raises :class:`~repro.verify.ValidationError` on the
             first violation.
-        profile: run one extra instrumented compile per case (after the
-            timed repetitions) and attach the per-phase wall/call breakdown
-            as ``meta.phases``; unsupported with ``cache_dir`` (cache
-            resolution has no compile phases to attribute).
+        profile: run one extra instrumented compile per ``default`` row
+            (after its timed one) and attach the suite-wide per-phase
+            wall/call breakdown as ``meta.phases``.
     """
     jobs = max(1, jobs)
     report = BenchReport(
         meta={
             "version": __version__,
-            "python": platform.python_version(),
+            "host": host_fingerprint(),
             "mode": "fast" if fast else "full",
-            "repeats": max(1, repeat),
             "jobs": jobs,
+            "strategies": list(STRATEGY_NAMES),
         }
     )
     if validate:
         report.meta["validated"] = True
-    engine_path = cache_dir is not None or remote is not None
-    if profile and engine_path:
-        raise ValueError("--profile attributes compile phases; it does not apply to cache resolution runs")
-    cases = bench_cases(fast, workloads)
-    sweep_start = time.perf_counter()
-    if engine_path:
-        # cache resolution is single-shot, so label the walls honestly
-        report.meta["repeats"] = 1
-        engine = SweepEngine(
-            jobs=jobs,
-            cache=CompileCache(cache_dir) if cache_dir is not None else None,
-            remote=remote,
-        )
-        circuits = {c.workload: load_benchmark(c.workload) for c in cases}
-        if jobs > 1:
-            engine.prefetch(
-                [
-                    CompileJob(circuits[c.workload], _case_config(c), tag="bench")
-                    for c in cases
-                ]
-            )
-
-        def timed_resolution(case: BenchCase) -> dict:
-            start = time.perf_counter()
-            result = engine.compile(circuits[case.workload], _case_config(case))
-            wall = time.perf_counter() - start
-            if validate:
-                # after the timer stops: walls measure resolution, not auditing
-                from ..verify import raise_if_invalid, validate_result
-
-                raise_if_invalid(
-                    validate_result(
-                        result, circuits[case.workload], _case_config(case),
-                        label=case.key,
-                    )
-                )
-            return _row_from_result(result, wall)
-
-        rows = map(timed_resolution, cases)
-    elif jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(cases) or 1))
-        rows = pool.map(
-            _run_case_payload,
-            [(c, repeat, validate, profile) for c in cases],
-        )
-    else:
-        pool = None
-        rows = (_run_case(case, repeat, validate, profile) for case in cases)
+    payloads = [
+        (case, strategy, validate, profile)
+        for case in bench_cases(fast, workloads)
+        for strategy in STRATEGY_NAMES
+    ]
     suite_phases: Dict[str, dict] = {}
+    sweep_start = time.perf_counter()
+    pool = None
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads) or 1))
+        outcomes = pool.map(_run_row, payloads)
+    else:
+        outcomes = map(_run_row, payloads)
     try:
-        for case, row in zip(cases, rows):
-            case_phases = row.pop("phases", None)
-            if case_phases:
-                _merge_phase_dicts(suite_phases, case_phases)
-            report.cases[case.key] = row
-            report.total_wall += row["wall"]
+        for (case, strategy, *_), (row, phases) in zip(payloads, outcomes):
+            if phases:
+                _merge_phase_dicts(suite_phases, phases)
+            report.cases.setdefault(case.key, {})[strategy] = row
+            if strategy == DEFAULT_STRATEGY:
+                report.total_wall += row["wall"]
             if progress is not None:
-                progress(f"{case.key}: {row['wall']:.3f}s makespan={row['makespan']}")
+                progress(
+                    f"{case.key}/{strategy}: {row['wall']:.3f}s "
+                    f"makespan={row['makespan']} quality={row['quality']:.3f}"
+                )
     finally:
-        if engine_path:
-            report.meta["cache"] = engine.counters.as_dict()
-            report.meta["cache_tiers"] = engine.tier_stats()
-            engine.shutdown()
-        elif jobs > 1:
+        if pool is not None:
             pool.shutdown()
     report.meta["sweep_wall"] = round(time.perf_counter() - sweep_start, 4)
     if profile:
         # suite-wide aggregate, sorted widest-first like PhaseProfiler.as_dict
-        report.meta["phases"] = {
-            name: stats
-            for name, stats in sorted(
-                suite_phases.items(), key=lambda kv: -kv[1]["wall"]
-            )
-        }
+        report.meta["phases"] = dict(
+            sorted(suite_phases.items(), key=lambda kv: -kv[1]["wall"])
+        )
     return report
-
-
-#: per-case fields that make up the behavioural fingerprint — imported
-#: from the canonical definition next to CompilationResult.fingerprint so
-#: the drift gate, the report rows and the service responses cannot diverge.
-_FINGERPRINT_FIELDS = FINGERPRINT_FIELDS
-
-
-def report_from_dict(data: dict) -> BenchReport:
-    """Rehydrate a ``BENCH_*.json`` payload for comparison helpers."""
-    return BenchReport(
-        cases=dict(data.get("cases", {})),
-        total_wall=float(data.get("total_wall") or 0.0),
-        meta=dict(data.get("meta", {})),
-    )
 
 
 def phases_table(phases: Dict[str, dict]) -> str:
@@ -362,7 +330,7 @@ def compare_phases(baseline_meta: dict, current_meta: dict) -> List[str]:
     """Per-phase speedup lines for two reports that both carry ``meta.phases``.
 
     Empty when either side was recorded without ``--profile`` — phase
-    attribution is optional, the per-case comparison always runs.
+    attribution is optional, the per-row comparison always runs.
     """
     base = baseline_meta.get("phases") or {}
     cur = current_meta.get("phases") or {}
@@ -388,63 +356,92 @@ def compare_phases(baseline_meta: dict, current_meta: dict) -> List[str]:
     return lines
 
 
-def has_drift(baseline: dict, current: BenchReport) -> bool:
-    """True when any shared case's behavioural fingerprint changed.
+def _rows(report: dict) -> Dict[Tuple[str, str], dict]:
+    """A report's ``(case_key, strategy) -> row`` map.
 
-    Cases missing from the baseline are not drift (the matrix may grow);
-    only a changed fingerprint field on a case both runs share counts.
-    CI gates on this.
+    Anything not shaped like a row (a dict carrying ``makespan``) is
+    skipped, so a pre-strategy flat report contributes no rows at all.
     """
-    base_cases = baseline.get("cases", {})
-    for key, row in current.cases.items():
-        base = base_cases.get(key)
-        if base is None:
-            continue
-        for field_name in _FINGERPRINT_FIELDS:
-            if base.get(field_name) != row.get(field_name):
-                return True
-    return False
+    cases = report.get("cases")
+    if not isinstance(cases, dict):
+        return {}
+    return {
+        (key, strategy): row
+        for key, per_strategy in cases.items()
+        if isinstance(per_strategy, dict)
+        for strategy, row in per_strategy.items()
+        if isinstance(row, dict) and "makespan" in row
+    }
 
 
-def compare_reports(baseline: dict, current: BenchReport) -> List[str]:
-    """Human-readable comparison lines against a previous ``BENCH_*.json``.
+def compare_reports(baseline: dict, current: dict) -> Tuple[List[str], List[str]]:
+    """Gate ``current`` against ``baseline``; both are ``BENCH.json`` dicts.
 
-    Flags any behavioural drift (makespan / stats / op counts) — a perf
-    change must not alter the compiled schedule — and reports per-case and
-    total speedup.
+    Returns ``(lines, errors)``: human-readable comparison lines, and one
+    line per gate failure — an empty ``errors`` list means the gate
+    passes.  The rules are in the module docstring.
     """
     lines: List[str] = []
-    base_cases = baseline.get("cases", {})
-    drift = False
-    for key, row in current.cases.items():
-        base = base_cases.get(key)
+    errors: List[str] = []
+    if not isinstance(baseline.get("cases"), dict) or not baseline["cases"]:
+        return lines, ["baseline has no cases"]
+    base_rows = _rows(baseline)
+    base_host = (baseline.get("meta") or {}).get("host")
+    walls = base_host is not None and base_host == (current.get("meta") or {}).get("host")
+    shared = drifts = regressions = 0
+    base_wall = cur_wall = 0.0
+    for (key, strategy), row in _rows(current).items():
+        label = f"{key}/{strategy}"
+        base = base_rows.get((key, strategy))
         if base is None:
-            lines.append(f"{key}: no baseline entry")
+            lines.append(f"{label}: no baseline entry")
             continue
-        for field_name in _FINGERPRINT_FIELDS:
-            if base.get(field_name) != row.get(field_name):
-                drift = True
-                lines.append(
-                    f"{key}: BEHAVIOUR DRIFT in {field_name}: "
-                    f"{base.get(field_name)} -> {row.get(field_name)}"
-                )
-        if base.get("wall") and row.get("wall"):
-            lines.append(f"{key}: {base['wall'] / row['wall']:.2f}x vs baseline")
-    unexercised = sorted(set(base_cases) - set(current.cases))
+        shared += 1
+        if strategy == DEFAULT_STRATEGY:
+            for field_name in FINGERPRINT_FIELDS:
+                if base.get(field_name) != row.get(field_name):
+                    drifts += 1
+                    errors.append(
+                        f"{label}: BEHAVIOUR DRIFT in {field_name}: "
+                        f"{base.get(field_name)} -> {row.get(field_name)}"
+                    )
+            if walls and base.get("wall") and row.get("wall"):
+                lines.append(f"{key}: {base['wall'] / row['wall']:.2f}x vs baseline")
+                base_wall += base["wall"]
+                cur_wall += row["wall"]
+        before, after = base.get("quality"), row.get("quality")
+        if before is None or after is None:
+            continue
+        if after > before * (1.0 + QUALITY_RTOL):
+            regressions += 1
+            errors.append(
+                f"{label}: quality regressed {before:.6f} -> {after:.6f} "
+                f"(makespan {base['makespan']} -> {row['makespan']})"
+            )
+        elif after < before:
+            lines.append(f"{label}: quality improved {before:.6f} -> {after:.6f}")
+    if not shared:
+        errors.append("baseline shares no (case, strategy) row with this run")
+    unexercised = sorted(set(baseline["cases"]) - set(current.get("cases") or {}))
     if unexercised:
-        # not drift (fast runs exercise a subset of a full baseline), but a
-        # silently shrinking matrix should at least be visible
+        # not a failure (fast runs exercise a subset of a full baseline),
+        # but a silently shrinking matrix should at least be visible
         lines.append(
             f"note: {len(unexercised)} baseline case(s) not exercised in "
             f"this run: {', '.join(unexercised[:5])}"
             + ("..." if len(unexercised) > 5 else "")
         )
-    base_total = baseline.get("total_wall")
-    if base_total and current.total_wall:
+    if not walls:
+        lines.append("walls not compared: different host")
+    elif cur_wall:
+        # over the shared default rows only: a fast run gated against a
+        # full baseline must not read as a speedup
         lines.append(
-            f"total: {base_total / current.total_wall:.2f}x vs baseline"
-            f" ({base_total:.3f}s -> {current.total_wall:.3f}s)"
+            f"total: {base_wall / cur_wall:.2f}x vs baseline"
+            f" ({base_wall:.3f}s -> {cur_wall:.3f}s over the shared cases)"
         )
-    if not drift:
+    if shared and not drifts:
         lines.append("behaviour: identical to baseline")
-    return lines
+    if shared and not regressions:
+        lines.append("quality: no regressions vs baseline")
+    return lines, errors

@@ -22,7 +22,7 @@ Usage::
     print(prof.table())
 
 or through the CLI: ``repro bench --profile`` attaches the breakdown to
-``BENCH_routing.json`` under ``meta.phases``.
+``BENCH.json`` under ``meta.phases``.
 
 The profiler is process-local and not thread-safe by design — compile
 work fans out across *processes* (the sweep engine, the service pool),

@@ -62,9 +62,9 @@ class SchedulerStats:
     """Aggregate counters filled in during scheduling.
 
     The :meth:`as_dict` keys are part of every behavioural fingerprint
-    (``BENCH_routing.json``, the service responses, the cache/chaos drift
-    gates) — never add or rename them casually.  Diagnostic counters that
-    must not perturb fingerprints live in :meth:`aux_dict` instead and
+    (``BENCH.json``, the service responses, the chaos drift gate) —
+    never add or rename them casually.  Diagnostic counters that must
+    not perturb fingerprints live in :meth:`aux_dict` instead and
     surface as ``CompilationResult.aux_stats``.
     """
 

@@ -246,7 +246,7 @@ def compile_response(
         "source": source,
         "wall": round(wall, 6),
         # the one canonical fingerprint definition — identical fields to
-        # what the perf harness gates on in BENCH_routing.json
+        # what `repro bench` gates on in BENCH.json
         "fingerprint": result.fingerprint(),
         "summary": {
             "name": result.profile.name,

@@ -20,7 +20,7 @@ from repro.sweep import (
     payload_checksum,
 )
 from repro.service import protocol
-from repro.workloads import ising_2d
+from repro.workloads import ising_2d, load_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -340,15 +340,62 @@ class TestStrategyIsolation:
             engine.shutdown()
 
 
-class TestCacheBenchSmoke:
-    def test_fast_cache_bench_warm_fleet_compiles_nothing(self):
-        from repro.perf import run_cache_bench
+class TestTierPathsOverTheFastMatrix:
+    """Every resolution path of the tier stack, end to end over a live
+    peer: remote hits, disk promotion, memo, and a dead peer — each must
+    reproduce the seeding compile's fingerprints exactly."""
 
-        report = run_cache_bench(fast=True, engines=2)
-        phases = report.meta["cache_bench"]
-        assert phases["warm_fleet"]["compiled"] == 0
-        assert phases["warm_fleet"]["remote_hits"] == len(report.cases)
-        assert phases["disk"]["disk_hits"] == len(report.cases)
-        assert phases["memo"]["memo_hits"] == len(report.cases)
-        assert phases["remote_down"]["compiled"] == len(report.cases)
-        assert report.cases  # fingerprint rows for the drift gate
+    def test_fleet_warms_from_one_seeded_peer(self, tmp_path):
+        from repro.perf import bench_cases
+
+        jobs = [
+            (
+                load_benchmark(case.workload),
+                CompilerConfig(
+                    routing_paths=case.routing_paths,
+                    num_factories=case.num_factories,
+                ),
+            )
+            for case in bench_cases(fast=True)
+        ]
+
+        def resolve(engine):
+            return [engine.compile(c, cfg).fingerprint() for c, cfg in jobs]
+
+        with CachePeerThread(cache=CompileCache(tmp_path / "peer")) as peer:
+            seeder = SweepEngine(
+                cache=CompileCache(tmp_path / "seed"),
+                remote=RemoteCache(*peer.address),
+            )
+            reference = resolve(seeder)
+            assert seeder.counters.compiled == len(jobs)
+            seeder.shutdown()
+
+            # a fresh engine with an empty disk: every case is a remote hit
+            warm = SweepEngine(
+                cache=CompileCache(tmp_path / "warm"),
+                remote=RemoteCache(*peer.address),
+            )
+            assert resolve(warm) == reference
+            assert warm.counters.compiled == 0
+            assert warm.counters.remote_hits == len(jobs)
+            warm.shutdown()
+
+        # remote hits were promoted: the warmed disk alone serves every case
+        disk = SweepEngine(cache=CompileCache(tmp_path / "warm"))
+        assert resolve(disk) == reference
+        assert disk.counters.disk_hits == len(jobs)
+        assert disk.counters.compiled == 0
+        # and the same engine again, entirely from its memo
+        assert resolve(disk) == reference
+        assert disk.counters.memo_hits == len(jobs)
+        disk.shutdown()
+
+        # the peer is gone: the outage degrades to misses, never errors
+        down = SweepEngine(
+            cache=CompileCache(tmp_path / "down"),
+            remote=_fast_remote("127.0.0.1", _dead_port()),
+        )
+        assert resolve(down) == reference
+        assert down.counters.compiled == len(jobs)
+        down.shutdown()

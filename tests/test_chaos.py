@@ -5,14 +5,22 @@ compiles, seconds overall); determinism of the scenario stream and the
 planner's shapes are checked without a server.
 """
 
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.faultinject import (
     CHAOS_MODES,
     ScriptedWorkerFaults,
     plan_scenario,
     run_chaos,
 )
+from repro.faultinject.harness import ChaosReport, _bench_phase
 from repro.faultinject.plan import CHAOS_WORKLOADS
 from repro.sweep.supervisor import FAULT_HANG, FAULT_KILL
+
+BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH.json"
 
 
 class TestPlanner:
@@ -96,10 +104,11 @@ class TestCampaign:
             scenarios=25,
             jobs=2,
             cache_dir=str(tmp_path / "cache"),
-            bench_baseline="BENCH_routing.json",
+            bench_baseline=str(BENCH_JSON),
         )
         assert report.violations == []
         assert report.bench_mismatches == []
+        assert report.bench_checked == 4
         assert report.ok
         # the campaign exercised real faults, not just clean requests
         assert report.faults_fired["worker"] >= 1
@@ -125,3 +134,51 @@ class TestCampaign:
         assert report.outcomes.get("shard-down", 0) >= 1
         # every gateway episode resolved to a served, parity-checked job
         assert report.outcomes.get("gateway-ok", 0) >= 2
+
+    def test_missing_baseline_fails_the_campaign(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        report = run_chaos(
+            seed=0,
+            scenarios=1,
+            jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+            bench_baseline=str(missing),
+        )
+        assert report.violations == []
+        assert report.bench_checked == 0
+        assert report.bench_mismatches == [f"missing baseline {missing}"]
+        assert not report.ok
+        assert "verdict: FAILED" in report.summary()
+
+
+class TestBenchPhaseBaselines:
+    """Baselines the post-chaos check cannot use fail before any request
+    is sent, so no server is needed to exercise them."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{not json", "unreadable"),
+            (json.dumps({"cold": {"cases": {}}}), "unreadable"),
+            (json.dumps({"cases": ["ising_2d_2x2/r3/f1"]}), "unreadable"),
+            # a pre-strategy flat report: rows without a "default" entry
+            (json.dumps({"cases": {"ising_2d_2x2/r3/f1": {"makespan": 98.5}}}),
+             "no default row"),
+            (json.dumps({"cases": {"other/r3/f1": {"default": {}}}}),
+             "no default row"),
+        ],
+    )
+    def test_unusable_baseline_is_a_mismatch(self, tmp_path, content, reason):
+        path = tmp_path / "baseline.json"
+        path.write_text(content)
+        report = ChaosReport(seed=0, scenarios=0)
+        _bench_phase(report, "127.0.0.1", 1, str(path))
+        assert len(report.bench_mismatches) == 1
+        assert reason in report.bench_mismatches[0]
+        assert not report.ok
+
+    @pytest.mark.parametrize("path", [None, "-"])
+    def test_explicit_skip(self, path):
+        report = ChaosReport(seed=0, scenarios=0)
+        _bench_phase(report, "127.0.0.1", 1, path)
+        assert report.bench_mismatches == [] and report.ok

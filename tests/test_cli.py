@@ -87,34 +87,13 @@ class TestBenchCommand:
         assert main(["bench", "--fast", "--workload", "ising_2d_2x2",
                      "-o", str(out_path)]) == 0
         baseline = json.loads(out_path.read_text())
-        for row in baseline["cases"].values():
-            row["makespan"] += 1.0
+        for rows in baseline["cases"].values():
+            rows["default"]["makespan"] += 1.0
         out_path.write_text(json.dumps(baseline))
         capsys.readouterr()
         assert main(["bench", "--fast", "--workload", "ising_2d_2x2",
                      "-o", "-", "--baseline", str(out_path)]) == 1
         assert "DRIFT" in capsys.readouterr().out
-
-    def test_cache_dir_records_counters(self, tmp_path, capsys):
-        import json
-
-        cache = str(tmp_path / "cache")
-        out_path = tmp_path / "bench.json"
-        argv = ["bench", "--fast", "--workload", "ising_2d_2x2",
-                "--cache-dir", cache, "-o", str(out_path)]
-        assert main(argv) == 0
-        cold = json.loads(out_path.read_text())
-        assert cold["meta"]["cache"]["compiled"] == 1
-        assert main(argv) == 0
-        warm = json.loads(out_path.read_text())
-        assert warm["meta"]["cache"] == {
-            "memo_hits": 0, "disk_hits": 1, "remote_hits": 0, "compiled": 0,
-        }
-        assert warm["cases"] == dict(
-            cold["cases"],
-            **{k: dict(v, wall=warm["cases"][k]["wall"])
-               for k, v in cold["cases"].items()},
-        )
 
 
 class TestValidateFlags:

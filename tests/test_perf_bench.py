@@ -1,12 +1,27 @@
-"""Tests for the ``repro bench`` performance harness."""
+"""Tests for the ``repro bench`` harness and its one gate."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.perf import bench_cases, compare_reports, run_bench
+from repro.cli import _build_parser, main
+from repro.perf import QUALITY_RTOL, bench_cases, compare_reports, run_bench
 from repro.perf.bench import BenchCase
+from repro.strategies import STRATEGY_NAMES
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+KEY = "ising_2d_2x2/r3/f1"
+
+
+@pytest.fixture(scope="module")
+def small():
+    """One fast report over a single workload, as a ``BENCH.json`` dict."""
+    return run_bench(fast=True, workloads=["ising_2d_2x2"], validate=True).as_dict()
 
 
 class TestBenchCases:
@@ -30,42 +45,148 @@ class TestBenchCases:
 
 
 class TestRunBench:
-    def test_fast_run_produces_fingerprint(self):
-        report = run_bench(fast=True, workloads=["ising_2d_2x2"])
-        assert report.total_wall > 0
-        row = report.cases["ising_2d_2x2/r3/f1"]
-        assert row["makespan"] > 0
-        assert row["num_ops"] > 0
-        assert set(row["stats"]) >= {"moves_planned", "magic_states"}
+    def test_every_strategy_gets_a_row(self, small):
+        assert set(small["cases"]) == {KEY}
+        assert set(small["cases"][KEY]) == set(STRATEGY_NAMES)
+        for row in small["cases"][KEY].values():
+            assert row["makespan"] > 0 and row["num_ops"] > 0
+            assert set(row["stats"]) >= {"moves_planned", "magic_states"}
+            assert row["quality"] >= 1.0 and row["lower_bound"] > 0
+            for counter in ("restores", "restore_cycle_breaks", "displacement_aborts"):
+                assert counter in row
+            # the fingerprint already carries these; no duplicates
+            assert "evictions" not in row and "wall_median" not in row
 
-    def test_deterministic_fingerprint_across_repeats(self):
-        one = run_bench(fast=True, workloads=["heisenberg_2d_2x2"])
-        two = run_bench(fast=True, workloads=["heisenberg_2d_2x2"], repeat=2)
-        key = "heisenberg_2d_2x2/r3/f1"
-        for field in ("makespan", "num_ops", "num_moves", "stats"):
-            assert one.cases[key][field] == two.cases[key][field]
+    def test_total_wall_sums_default_rows(self, small):
+        assert small["total_wall"] == round(small["cases"][KEY]["default"]["wall"], 4)
 
-    def test_report_text_lists_all_cases(self):
+    def test_meta_records_host_and_validation(self, small):
+        host = small["meta"]["host"]
+        assert set(host) == {"cpu", "cpus", "python"}
+        assert small["meta"]["validated"] is True
+        assert "cache" not in small["meta"] and "repeats" not in small["meta"]
+
+    def test_jobs_leave_rows_identical(self, small):
+        parallel = run_bench(fast=True, workloads=["ising_2d_2x2"], jobs=2)
+        for strategy, row in parallel.cases[KEY].items():
+            want = dict(small["cases"][KEY][strategy], wall=row["wall"])
+            assert row == want
+
+    def test_profile_attributes_default_compiles_only(self):
+        report = run_bench(fast=True, workloads=["ising_2d_2x2"], profile=True)
+        assert report.meta["phases"]["pipeline.mapping"]["calls"] == 1
+
+    def test_report_text_lists_all_rows(self):
         report = run_bench(fast=True)
         text = report.to_text()
         for key in report.cases:
             assert key in text
+        assert "balanced" in text
         assert "total wall time" in text
 
 
-class TestCompare:
-    def test_identical_reports_show_no_drift(self):
-        report = run_bench(fast=True, workloads=["ising_2d_2x2"])
-        lines = compare_reports(report.as_dict(), report)
-        assert any("identical" in line for line in lines)
+class TestGate:
+    def test_identical_reports_pass(self, small):
+        lines, errors = compare_reports(small, small)
+        assert errors == []
+        assert "behaviour: identical to baseline" in lines
+        assert "quality: no regressions vs baseline" in lines
 
-    def test_behaviour_drift_is_flagged(self):
-        report = run_bench(fast=True, workloads=["ising_2d_2x2"])
-        baseline = json.loads(json.dumps(report.as_dict()))
-        key = next(iter(baseline["cases"]))
-        baseline["cases"][key]["makespan"] += 1.0
-        lines = compare_reports(baseline, report)
-        assert any("DRIFT" in line for line in lines)
+    def test_default_fingerprint_drift_fails(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["cases"][KEY]["default"]["makespan"] += 1.0
+        _, errors = compare_reports(baseline, small)
+        assert any("DRIFT in makespan" in line for line in errors)
+
+    def test_non_default_fingerprint_change_is_not_drift(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["cases"][KEY]["balanced"]["num_ops"] += 1
+        lines, errors = compare_reports(baseline, small)
+        assert errors == []
+        assert "behaviour: identical to baseline" in lines
+
+    def test_quality_rise_fails_on_any_row(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["cases"][KEY]["balanced"]["quality"] -= 0.01
+        _, errors = compare_reports(baseline, small)
+        assert len(errors) == 1 and f"{KEY}/balanced: quality regressed" in errors[0]
+
+    def test_quality_within_tolerance_passes(self, small):
+        baseline = copy.deepcopy(small)
+        row = baseline["cases"][KEY]["default"]
+        row["quality"] *= 1.0 - QUALITY_RTOL / 10
+        assert compare_reports(baseline, small)[1] == []
+
+    def test_quality_improvement_passes(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["cases"][KEY]["default"]["quality"] += 0.5
+        lines, errors = compare_reports(baseline, small)
+        assert errors == []
+        assert any("quality improved" in line for line in lines)
+
+    def test_rows_missing_from_baseline_never_gate(self, small):
+        baseline = copy.deepcopy(small)
+        del baseline["cases"][KEY]["balanced"]
+        lines, errors = compare_reports(baseline, small)
+        assert errors == []
+        assert f"{KEY}/balanced: no baseline entry" in lines
+
+    def test_unexercised_baseline_cases_are_listed(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["cases"]["other/r3/f1"] = baseline["cases"][KEY]
+        lines, errors = compare_reports(baseline, small)
+        assert errors == []
+        assert any("not exercised" in line and "other/r3/f1" in line for line in lines)
+
+
+class TestGateThatComparesNothing:
+    def test_service_shaped_baseline_fails(self, small):
+        baseline = {
+            "meta": {"jobs": 2},
+            "cold": {"cases": {KEY: 0.01}},
+            "gateway": {"cases": {KEY: {"makespan": 98.5}}},
+        }
+        lines, errors = compare_reports(baseline, small)
+        assert errors == ["baseline has no cases"]
+        assert not any("identical" in line for line in lines)
+
+    def test_flat_pre_strategy_rows_fail(self, small):
+        row = small["cases"][KEY]["default"]
+        flat = {key: row[key] for key in ("makespan", "num_ops", "num_moves", "stats", "wall")}
+        lines, errors = compare_reports({"cases": {KEY: flat}, "total_wall": 0.1}, small)
+        assert errors == ["baseline shares no (case, strategy) row with this run"]
+        assert not any("identical" in line for line in lines)
+
+    def test_disjoint_workload_fails(self, small):
+        baseline = {"cases": {"heisenberg_2d_2x2/r3/f1": small["cases"][KEY]}}
+        lines, errors = compare_reports(baseline, small)
+        assert errors == ["baseline shares no (case, strategy) row with this run"]
+        assert any("not exercised" in line for line in lines)
+
+
+class TestWallsOnlyOnTheSameHost:
+    def test_same_host_prints_speedups(self, small):
+        lines, _ = compare_reports(small, small)
+        assert f"{KEY}: 1.00x vs baseline" in lines
+        assert any(line.startswith("total: 1.00x vs baseline") for line in lines)
+        assert "walls not compared: different host" not in lines
+
+    def test_different_host_prints_one_line(self, small):
+        baseline = copy.deepcopy(small)
+        baseline["meta"]["host"]["cpus"] = 1000
+        baseline["cases"][KEY]["default"]["makespan"] += 1.0
+        lines, errors = compare_reports(baseline, small)
+        assert "walls not compared: different host" in lines
+        assert not any("vs baseline (" in line or "x vs baseline" in line for line in lines)
+        # the behavioural gate still runs
+        assert any("DRIFT" in line for line in errors)
+
+    def test_missing_host_is_a_different_host(self, small):
+        baseline = copy.deepcopy(small)
+        del baseline["meta"]["host"]
+        lines, errors = compare_reports(baseline, small)
+        assert errors == []
+        assert "walls not compared: different host" in lines
 
 
 class TestCli:
@@ -77,15 +198,38 @@ class TestCli:
         ])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["cases"]
+        assert set(data["cases"][KEY]) == set(STRATEGY_NAMES)
         assert data["meta"]["mode"] == "fast"
         assert "backend" not in data["meta"]
 
-    def test_bench_cli_has_no_backend_flag(self, capsys):
+    def test_bench_has_exactly_eight_flags(self):
+        parser = _build_parser()
+        bench = parser._subparsers._group_actions[0].choices["bench"]
+        flags = {
+            max(action.option_strings, key=len)
+            for action in bench._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert flags == {
+            "--fast", "--workload", "--jobs", "--output", "--baseline",
+            "--validate", "--profile", "--compare",
+        }
+
+    @pytest.mark.parametrize(
+        "flag", ["--backend pure", "--repeat 2", "--cache-dir x", "--no-cache",
+                 "--remote-cache 127.0.0.1:1"],
+    )
+    def test_removed_flags_are_unknown(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--fast", "--backend", "pure", "--output", "-"])
+            main(["bench", "--fast", *flag.split(), "--output", "-"])
         assert exc.value.code == 2
-        assert "--backend" in capsys.readouterr().err
+        assert flag.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("harness", ["quality", "cache", "service"])
+    def test_removed_subcommands_are_unknown(self, harness, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([f"{harness}-bench", "--output", "-"])
+        assert exc.value.code == 2
 
     def test_bench_cli_baseline_comparison(self, tmp_path, capsys):
         out = tmp_path / "BENCH_a.json"
@@ -100,3 +244,49 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "identical to baseline" in captured
         assert "vs baseline" in captured
+
+    def test_committed_baseline_gates_a_fast_run(self, capsys):
+        code = main([
+            "bench", "--fast", "--workload", "ising_2d_2x2",
+            "--output", "-", "--baseline", str(REPO_ROOT / "BENCH.json"),
+        ])
+        assert code == 0
+        assert "behaviour: identical to baseline" in capsys.readouterr().out
+
+    def test_baseline_sharing_nothing_exits_1(self, tmp_path, capsys):
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({"cases": {KEY: {"makespan": 98.5}}}))
+        code = main(["bench", "--fast", "--workload", "ising_2d_2x2",
+                     "--output", "-", "--baseline", str(stale)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "error: baseline shares no (case, strategy) row" in out
+        assert "identical" not in out
+
+    def test_compare_two_files(self, tmp_path, capsys, small):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(small))
+        b.write_text(json.dumps(small))
+        assert main(["bench", "--compare", str(a), str(b)]) == 0
+        assert "behaviour: identical to baseline" in capsys.readouterr().out
+        worse = copy.deepcopy(small)
+        worse["cases"][KEY]["balanced"]["quality"] += 0.5
+        b.write_text(json.dumps(worse))
+        assert main(["bench", "--compare", str(a), str(b)]) == 1
+        assert "quality regressed" in capsys.readouterr().out
+
+
+def test_profiler_import_does_not_load_the_harness():
+    """The hot modules import the profiler; that must not pull in bench."""
+    code = (
+        "import sys, repro.perf.profiler; "
+        "print('repro.perf.bench' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    ).stdout
+    assert out.strip() == "False"

@@ -16,7 +16,8 @@ import pytest
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.faultinject import ScriptedWorkerFaults
-from repro.service import Client, ServiceError, ServiceThread, protocol
+from repro.service import Client, RetryPolicy, ServiceError, ServiceThread, protocol
+from repro.sweep import CompileCache
 from repro.sweep.supervisor import FAULT_HANG, FAULT_KILL
 from repro.workloads import load_benchmark
 
@@ -85,6 +86,50 @@ class TestWorkerDeath:
             stats = client.stats()
         assert stats["compile"]["timeouts"] == 1
         assert stats["pool"]["timeouts"] == 3
+
+
+class TestDegradedLoad:
+    """Sustained fresh compiles while workers are being killed: no request
+    may be lost, no fingerprint may change, and the results must land in
+    the cache so a resubmission costs no compile at all."""
+
+    CONFIGS = [
+        (workload, {"routing_paths": r, "num_factories": 1})
+        for workload in ("ising_2d_2x2", "heisenberg_2d_2x2")
+        for r in (3, 4, 5, 6)
+    ]
+
+    def test_kills_cost_no_requests_and_resubmits_hit_the_cache(self, tmp_path):
+        faults = ScriptedWorkerFaults()
+        faults.arm({2: (FAULT_KILL,), 6: (FAULT_KILL,)})
+        with ServiceThread(
+            jobs=2,
+            cache=CompileCache(tmp_path),
+            job_attempts=3,
+            worker_faults=faults,
+        ) as thread, Client(
+            *thread.address,
+            timeout=120.0,
+            retry=RetryPolicy(attempts=3, base_delay=0.05),
+        ) as client:
+            for workload, config in self.CONFIGS:
+                reply = client.compile(workload=workload, **config)
+                direct = FaultTolerantCompiler(CompilerConfig(**config)).compile(
+                    load_benchmark(workload)
+                )
+                assert reply.source == "compiled"
+                assert reply.fingerprint == direct.fingerprint()
+            stats = client.stats()
+            assert faults.fired == 2
+            assert stats["pool"]["crashes"] == 2
+            assert stats["compile"]["compile_failures"] == 0
+            compiled = stats["engine"]["compiled"]
+            assert compiled == len(self.CONFIGS)
+
+            for workload, config in self.CONFIGS:
+                reply = client.compile(workload=workload, **config)
+                assert reply.source in ("memo", "disk")
+            assert client.stats()["engine"]["compiled"] == compiled
 
 
 class TestRequestDeadline:

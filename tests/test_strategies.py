@@ -1,18 +1,14 @@
 """Placement/delivery strategy tests: registry, config plumbing, the
 default strategy's bit-identity, the balanced strategy's validity and
-its win on a tracked case, the CNOT mover-preference seam, the
-restore-cycle breaker, and the quality-bench harness built on top."""
+its win on a tracked case, the CNOT mover-preference seam and the
+restore-cycle breaker.  The per-strategy quality gate built on top is
+tested in ``test_perf_bench.py``."""
 
 import pytest
 
 from repro.arch.grid import Grid
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler, compile_circuit
-from repro.perf.quality_bench import (
-    QualityReport,
-    quality_regressions,
-    run_quality_bench,
-)
 from repro.routing.neighbor_moves import plan_cnot_alignment
 from repro.scheduling.scheduler import LatticeSurgeryScheduler
 from repro.strategies import (
@@ -162,45 +158,3 @@ class TestRestoreCycleBreaker:
         assert rebuilt.aux_stats == result.aux_stats
         # diagnostics never leak into the behavioural fingerprint
         assert "restores" not in result.fingerprint()["stats"]
-
-
-class TestQualityBench:
-    def test_smoke_run_scores_every_strategy(self):
-        report = run_quality_bench(
-            fast=True, workloads=["ising_2d_2x2"], validate=True
-        )
-        assert set(report.cases) == {"ising_2d_2x2/r3/f1"}
-        rows = report.cases["ising_2d_2x2/r3/f1"]
-        assert set(rows) == set(STRATEGY_NAMES)
-        for row in rows.values():
-            assert row["quality"] >= 1.0
-            assert row["lower_bound"] > 0
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            run_quality_bench(fast=True, strategies=["greedy"])
-
-    def test_gate_is_one_sided(self):
-        baseline = {
-            "cases": {
-                "a/r3/f1": {
-                    "default": {"quality": 1.5, "makespan": 150.0},
-                    "balanced": {"quality": 1.4, "makespan": 140.0},
-                }
-            }
-        }
-        current = QualityReport(
-            cases={
-                "a/r3/f1": {
-                    # improvement: passes
-                    "default": {"quality": 1.2, "makespan": 120.0},
-                    # regression: fails
-                    "balanced": {"quality": 1.6, "makespan": 160.0},
-                },
-                # case missing from the baseline: never gates
-                "b/r3/f1": {"default": {"quality": 9.9, "makespan": 990.0}},
-            }
-        )
-        lines = quality_regressions(baseline, current)
-        assert len(lines) == 1
-        assert "a/r3/f1/balanced" in lines[0]
