@@ -39,9 +39,10 @@ from .ir.passes import optimize
 from .metrics.report import Table
 from .perf import BENCH_FILENAME
 from .gateway import DEFAULT_GATEWAY_PORT as GATEWAY_DEFAULT_PORT
-from .service import DEFAULT_MAX_PENDING, run_server
+from .service import DEFAULT_MAX_PENDING, CachePeerThread, ServiceThread
 from .service import DEFAULT_CACHE_PORT as CACHE_DEFAULT_PORT
 from .service import DEFAULT_PORT as SERVICE_DEFAULT_PORT
+from .service.endpoint import serve_forever
 from .sweep import CompileCache, SweepEngine, use_engine
 from .verify import ValidationError
 from .workloads import benchmark_names, load_benchmark
@@ -455,7 +456,7 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    return run_server(
+    thread = ServiceThread(
         host=args.host,
         port=args.port,
         jobs=args.jobs,
@@ -467,8 +468,25 @@ def _cmd_serve(args) -> int:
         request_timeout=args.request_timeout,
         job_deadline=args.job_deadline,
         job_attempts=args.job_attempts,
-        announce=print,
     )
+
+    def announce() -> None:
+        host, port = thread.address
+        cache_note = (
+            f"cache {cache.root}" if cache is not None else "no persistent cache"
+        )
+        remote_note = (
+            f", remote peer {remote.host}:{remote.port}"
+            if remote is not None
+            else ""
+        )
+        print(
+            f"repro compile service on {host}:{port} "
+            f"({thread.service.engine.jobs} worker(s), {cache_note}{remote_note}"
+            f"{', replay-validating' if args.validate else ''})"
+        )
+
+    return serve_forever(thread, announce)
 
 
 def _cmd_chaos(args) -> int:
@@ -514,7 +532,6 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_cache_serve(args) -> int:
-    from .service import run_cache_peer
     from .sweep.cache import DEFAULT_QUARANTINE_CAP
 
     cache = CompileCache(
@@ -526,14 +543,21 @@ def _cmd_cache_serve(args) -> int:
             else DEFAULT_QUARANTINE_CAP
         ),
     )
-    return run_cache_peer(
-        host=args.host, port=args.port, cache=cache, announce=print
-    )
+    thread = CachePeerThread(host=args.host, port=args.port, cache=cache)
+
+    def announce() -> None:
+        host, port = thread.address
+        budget = cache.size_budget
+        budget_note = f", budget {budget} bytes" if budget is not None else ""
+        print(
+            f"repro cache peer on {host}:{port} "
+            f"(store {cache.root}{budget_note})"
+        )
+
+    return serve_forever(thread, announce)
 
 
 def _cmd_gateway(args) -> int:
-    import time as _time
-
     from .gateway import GatewayCluster, Keyring
 
     keyring = None
@@ -555,7 +579,8 @@ def _cmd_gateway(args) -> int:
         host=args.host,
         port=args.port,
     )
-    with cluster:
+
+    def announce() -> None:
         host, port = cluster.address
         print(
             f"gateway listening on http://{host}:{port} "
@@ -566,12 +591,8 @@ def _cmd_gateway(args) -> int:
         print(f"fleet state under {cluster.cache_dir}")
         print("endpoints: POST /v1/jobs, GET /v1/jobs/<id>, GET /v1/ws, "
               "GET /v1/stats, GET /v1/ping")
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down")
-    return 0
+
+    return serve_forever(cluster, announce)
 
 
 def _cmd_list() -> int:

@@ -129,6 +129,10 @@ class GatewayCluster:
             self.peer.stop()
             self.peer = None
 
+    def join(self) -> None:
+        """Block while the gateway serves (it has no ``shutdown`` op)."""
+        self.gateway_thread.join()
+
     def __enter__(self) -> "GatewayCluster":
         return self.start()
 

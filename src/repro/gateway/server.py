@@ -39,13 +39,13 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..service import protocol
 from ..service.client import RetryPolicy
+from ..service.endpoint import Endpoint, EndpointThread
 from ..sweep.jobs import job_key
 from .auth import ANONYMOUS_TENANT, Keyring, TokenBucket
 from .http11 import (
@@ -105,7 +105,7 @@ _REJECT_STATUS = {
 _WARM_SOURCES = ("memo", "disk", "remote", "coalesced")
 
 
-class Gateway:
+class Gateway(Endpoint):
     """The multi-tenant front door; see the module docstring.
 
     Args:
@@ -128,6 +128,8 @@ class Gateway:
         request_timeout: per-dispatch bound against a backend shard.
     """
 
+    kind = "gateway"
+
     def __init__(
         self,
         backends: List[Tuple[str, int]],
@@ -146,8 +148,7 @@ class Gateway:
         request_timeout: float = 120.0,
         health_interval: float = 0.25,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.keyring = keyring
         self.max_pending = max_pending
         self.header_timeout = header_timeout
@@ -169,38 +170,22 @@ class Gateway:
         self.metrics = GatewayMetrics()
         self._tasks: Dict[str, asyncio.Task] = {}
         self._watchers: Dict[str, asyncio.Event] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping: Optional[asyncio.Event] = None
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- lifecycle hooks ----------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self._server is not None, "gateway is not started"
-        return self._server.sockets[0].getsockname()[:2]
-
-    async def start(self) -> None:
-        self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+    def _on_start(self) -> None:
         self.router.start_health_loop()
         # crash recovery: every job the previous process left non-terminal
         # is re-dispatched (claim() re-adopts rows already 'dispatched')
         for record in self.store.pending():
             self._ensure_dispatch(record.key)
 
-    async def serve_until_stopped(self) -> None:
-        assert self._server is not None and self._stopping is not None
-        async with self._server:
-            await self._stopping.wait()
+    async def _on_stop(self) -> None:
         await self.router.stop()
-        for task in list(self._tasks.values()):
+        tasks = list(self._tasks.values())
+        for task in tasks:
             task.cancel()
-
-    def request_stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     # -- connection handling ------------------------------------------------
 
@@ -211,8 +196,10 @@ class Gateway:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, header_timeout=self.header_timeout
+                    request = await self._while_idle(
+                        lambda: read_request(
+                            reader, header_timeout=self.header_timeout
+                        )
                     )
                 except HttpError as exc:
                     self.metrics.http_error(exc.code)
@@ -226,11 +213,15 @@ class Gateway:
                     )
                     await writer.drain()
                     return
-                if request is None:
+                if request is None:  # client EOF, or the gateway is stopping
                     return
                 self.metrics.requests += 1
                 if request.header("upgrade").lower() == "websocket":
-                    await self._serve_websocket(request, reader, writer)
+                    # a watch is a standing subscription, not a request
+                    # being handled: stop() hangs it up like an idle one
+                    await self._while_idle(
+                        lambda: self._serve_websocket(request, reader, writer)
+                    )
                     return
                 started = time.monotonic()
                 try:
@@ -249,12 +240,8 @@ class Gateway:
                 await writer.drain()
                 if not request.keep_alive:
                     return
-        except asyncio.CancelledError:
-            pass  # gateway shutdown cancelled this connection
         except (ConnectionError, OSError):
             pass  # client hung up; nothing to answer
-        finally:
-            writer.close()
 
     async def _route(
         self, request: Request
@@ -559,95 +546,30 @@ class Gateway:
 # -- background-thread harness -------------------------------------------------
 
 
-class GatewayThread:
+class GatewayThread(EndpointThread):
     """A gateway running on a dedicated background thread.
 
-    Usage::
-
-        with GatewayThread(backends=[service.address]) as gw:
-            client = GatewayClient(*gw.address)
-            ...
-
-    Mirrors :class:`~repro.service.server.ServiceThread`; the chaos
-    harness and the tests use :meth:`kill_shard` / :meth:`revive_shard`
-    to drive the shard-death seam from outside the gateway's loop.
+    :meth:`kill_shard` / :meth:`revive_shard` drive the shard-death seam
+    from outside the gateway's loop (chaos harness, tests).
     """
 
-    def __init__(self, **gateway_kwargs: Any) -> None:
-        gateway_kwargs.setdefault("port", 0)
-        self._kwargs = gateway_kwargs
-        self._gateway: Optional[Gateway] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-gateway", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            try:
-                self._gateway = Gateway(**self._kwargs)
-                await self._gateway.start()
-                self._loop = asyncio.get_running_loop()
-            except BaseException as exc:
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self._gateway.serve_until_stopped()
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            if self._startup_error is None and not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    def start(self) -> "GatewayThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"gateway failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self._gateway is None or self._loop is None:
-            raise RuntimeError("gateway failed to start (timeout)")
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._gateway is None:
-            raise RuntimeError("gateway is not started")
-        return self._gateway.address
+    endpoint_class = Gateway
 
     @property
     def gateway(self) -> Gateway:
-        if self._gateway is None:
-            raise RuntimeError("gateway is not started")
-        return self._gateway
+        return self.endpoint
 
     def kill_shard(self, index: int) -> None:
         """Sever shard ``index`` as if its backend were SIGKILLed."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(
-            self.gateway.router.force_down, index
-        )
+        router = self.gateway.router
+        self._loop.call_soon_threadsafe(router.force_down, index)
 
     def revive_shard(self, index: int) -> None:
         """Let the health loop re-admit shard ``index``."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self.gateway.router.revive, index)
+        router = self.gateway.router
+        self._loop.call_soon_threadsafe(router.revive, index)
 
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.gateway.request_stop)
-        self._thread.join(timeout=30)
-        if self._gateway is not None:
-            self._gateway.store.close()
-
-    def __enter__(self) -> "GatewayThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+    def stop(self, timeout: float = 60.0) -> None:
+        super().stop(timeout)
+        if self._endpoint is not None:
+            self._endpoint.store.close()

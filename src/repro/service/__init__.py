@@ -9,10 +9,14 @@ the same engine into a long-lived multi-client endpoint (``repro serve``):
   identical in-flight requests by content-addressed job key, serves warm
   hits from the sweep cache with zero recompilation, sheds load beyond a
   bounded in-flight queue, and keeps the per-endpoint metrics;
+* :mod:`~repro.service.endpoint` — the lifecycle every TCP endpoint
+  (service, cache peer, gateway) shares: start, drain, stop, the
+  background-thread harness and the signal-driven foreground loop of the
+  serving commands;
 * :mod:`~repro.service.server` — :class:`CompileService`, the asyncio
   TCP server owning one persistent :class:`~repro.sweep.SweepEngine`
   (worker pool + disk cache), plus :class:`ServiceThread` for running a
-  real server in-process (tests, benchmarks, smoke scripts);
+  real server in-process (tests, the chaos harness, smoke scripts);
 * :mod:`~repro.service.client` — :class:`Client`, the synchronous
   request/response client scripts and tests talk through;
 * :mod:`~repro.service.cache_peer` — :class:`CachePeer`, the
@@ -29,7 +33,7 @@ a different compiler.
 """
 
 from .batcher import CompileBroker, OverloadedError, ServiceMetrics
-from .cache_peer import CachePeer, CachePeerThread, run_cache_peer
+from .cache_peer import CachePeer, CachePeerThread
 from .client import Client, CompileReply, RetryPolicy, ServiceError
 from .protocol import (
     DEFAULT_PORT,
@@ -39,7 +43,7 @@ from .protocol import (
     ProtocolError,
 )
 from .remote_cache import DEFAULT_CACHE_PORT, RemoteCache, parse_peer
-from .server import DEFAULT_MAX_PENDING, CompileService, ServiceThread, run_server
+from .server import DEFAULT_MAX_PENDING, CompileService, ServiceThread
 
 __all__ = [
     "CachePeer",
@@ -62,6 +66,4 @@ __all__ = [
     "ServiceMetrics",
     "ServiceThread",
     "parse_peer",
-    "run_cache_peer",
-    "run_server",
 ]

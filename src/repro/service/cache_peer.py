@@ -37,13 +37,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import copy
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
 from ..sweep import CompileCache
 from ..sweep.cache import payload_checksum
 from . import protocol
+from .endpoint import Endpoint, EndpointThread
 from .remote_cache import DEFAULT_CACHE_PORT
 
 #: 64 hex chars — the only key shape the peer will address storage with.
@@ -58,7 +58,7 @@ def _valid_key(key: Any) -> bool:
     )
 
 
-class CachePeer:
+class CachePeer(Endpoint):
     """A get/put-by-key cache server over one ``CompileCache`` directory.
 
     Args:
@@ -70,6 +70,9 @@ class CachePeer:
             ``on_get(key) -> None | "reset" | "corrupt"`` method.
     """
 
+    kind = "cache peer"
+    stream_limit = protocol.MAX_LINE_BYTES
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -78,54 +81,12 @@ class CachePeer:
         allow_shutdown: bool = True,
         faults=None,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.cache = cache if cache is not None else CompileCache()
         self.allow_shutdown = allow_shutdown
         self.faults = faults
         self.requests = 0
         self.rejected_puts = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping: Optional[asyncio.Event] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("cache peer is not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    async def start(self) -> None:
-        if self._server is not None:
-            return
-        self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-
-    def request_stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
-
-    async def serve_until_stopped(self) -> None:
-        await self.start()
-        try:
-            await self._stopping.wait()
-        finally:
-            await self.stop()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._stopping is not None:
-            self._stopping.set()
 
     # -- connection handling ------------------------------------------------
 
@@ -135,7 +96,7 @@ class CachePeer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await self._while_idle(reader.readline)
                 except (asyncio.LimitOverrunError, ValueError):
                     writer.write(
                         protocol.encode_line(
@@ -146,7 +107,7 @@ class CachePeer:
                     )
                     await writer.drain()
                     break
-                if not line:
+                if not line:  # client EOF, or the peer is stopping
                     break
                 self.requests += 1
                 response, action = await self._dispatch(line)
@@ -162,16 +123,6 @@ class CachePeer:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        except asyncio.CancelledError:
-            # loop teardown cancelled an idle keep-alive read — hang up
-            # quietly instead of letting the stream protocol log it
-            pass
-        finally:
-            writer.close()
-            # CancelledError included: loop teardown may cancel the close
-            # handshake itself
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
 
     async def _dispatch(
         self, line: bytes
@@ -286,116 +237,11 @@ class CachePeer:
         }
 
 
-# -- blocking front-ends -------------------------------------------------------
+class CachePeerThread(EndpointThread):
+    """A cache peer running on a dedicated background thread."""
 
-
-def run_cache_peer(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_CACHE_PORT,
-    cache: Optional[CompileCache] = None,
-    announce=None,
-) -> int:
-    """Run a cache peer until SIGINT/SIGTERM (the ``repro cache-serve`` body)."""
-    import signal
-
-    async def _main() -> None:
-        peer = CachePeer(host=host, port=port, cache=cache)
-        await peer.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, peer.request_stop)
-        if announce is not None:
-            bound_host, bound_port = peer.address
-            budget = peer.cache.size_budget
-            budget_note = (
-                f", budget {budget} bytes" if budget is not None else ""
-            )
-            announce(
-                f"repro cache peer on {bound_host}:{bound_port} "
-                f"(store {peer.cache.root}{budget_note})"
-            )
-        await peer.serve_until_stopped()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-class CachePeerThread:
-    """A cache peer running on a dedicated background thread.
-
-    Usage::
-
-        with CachePeerThread(cache=CompileCache(tmp)) as peer:
-            remote = RemoteCache(*peer.address)
-            ...
-    """
-
-    def __init__(self, **peer_kwargs: Any) -> None:
-        peer_kwargs.setdefault("port", 0)
-        self._kwargs = peer_kwargs
-        self._peer: Optional[CachePeer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cache-peer", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            try:
-                self._peer = CachePeer(**self._kwargs)
-                await self._peer.start()
-                self._loop = asyncio.get_running_loop()
-            except BaseException as exc:
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self._peer.serve_until_stopped()
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            if self._startup_error is None and not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    def start(self) -> "CachePeerThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"cache peer failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self._peer is None or self._loop is None:
-            raise RuntimeError("cache peer failed to start (timeout)")
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._peer is None:
-            raise RuntimeError("cache peer is not started")
-        return self._peer.address
+    endpoint_class = CachePeer
 
     @property
     def peer(self) -> CachePeer:
-        if self._peer is None:
-            raise RuntimeError("cache peer is not started")
-        return self._peer
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._peer.request_stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "CachePeerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        return self.endpoint

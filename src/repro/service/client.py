@@ -1,8 +1,8 @@
 """Synchronous client for the compile service.
 
 :class:`Client` speaks the JSON-lines protocol over one TCP connection,
-strict request/response.  It is what scripts, tests and the throughput
-benchmark use::
+strict request/response.  It is what scripts, tests and the chaos
+harness use::
 
     from repro.service import Client
 

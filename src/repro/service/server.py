@@ -8,20 +8,20 @@ request/response: read a line, dispatch, write a line.  All compile
 resolution — coalescing, warm-cache hits, backpressure — lives in the
 :class:`~repro.service.batcher.CompileBroker`.
 
-Shutdown is graceful: ``stop()`` (or SIGINT/SIGTERM under
-:func:`run_server`, or a ``shutdown`` request) closes the listening
-socket, lets in-flight requests finish, then tears down the worker pool.
+Shutdown is graceful: ``stop()`` (or SIGINT/SIGTERM under ``repro
+serve``, or a ``shutdown`` request) closes the listening socket, hangs
+up idle connections, lets in-flight requests finish, then tears down the
+worker pool — the :class:`~repro.service.endpoint.Endpoint` lifecycle.
 
 :class:`ServiceThread` runs a whole service on a background thread with
-its own event loop — the harness tests, the throughput benchmark and the
-CI smoke script all use it to get a real TCP server in-process.
+its own event loop — the tests, the chaos harness and the CI smoke
+script all use it to get a real TCP server in-process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -30,6 +30,7 @@ from ..sweep import CompileCache, JobCrashed, JobFailure, JobTimeout, SweepEngin
 from ..verify import ValidationError
 from . import protocol
 from .batcher import CompileBroker, OverloadedError
+from .endpoint import Endpoint, EndpointThread
 from .protocol import DEFAULT_PORT
 
 #: default bound on distinct in-flight compilations (per broker).
@@ -41,15 +42,12 @@ DEFAULT_REQUEST_TIMEOUT: Optional[float] = None
 #: default attempts the worker pool gives a crashing/wedged compile.
 DEFAULT_JOB_ATTEMPTS = 3
 
-#: sentinel returned by ``_read_request`` for an over-long request line.
-_TOO_LONG = object()
-
 #: ops with their own metrics bucket; anything else (including garbage a
 #: client invents) is recorded under "?" so the endpoints dict stays bounded.
 _KNOWN_OPS = ("compile", "stats", "ping", "shutdown")
 
 
-class CompileService:
+class CompileService(Endpoint):
     """A compile-as-a-service front-end over the sweep engine.
 
     Args:
@@ -82,6 +80,9 @@ class CompileService:
             (chaos harness only).
     """
 
+    kind = "service"
+    stream_limit = protocol.MAX_LINE_BYTES
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -98,8 +99,7 @@ class CompileService:
         job_attempts: int = DEFAULT_JOB_ATTEMPTS,
         worker_faults=None,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.validate = validate
         self.allow_shutdown = allow_shutdown
         self.request_timeout = request_timeout
@@ -116,57 +116,8 @@ class CompileService:
         self.broker = CompileBroker(
             self.engine, max_pending=max_pending, queue_wait=queue_wait
         )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping: Optional[asyncio.Event] = None
-        self._handlers: set = set()
 
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The actual bound (host, port) — call after :meth:`start`."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("service is not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    async def start(self) -> None:
-        """Bind the listening socket (idempotent)."""
-        if self._server is not None:
-            return
-        self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-
-    def request_stop(self) -> None:
-        """Ask the serve loop to drain and exit (threadsafe via its loop)."""
-        if self._stopping is not None:
-            self._stopping.set()
-
-    async def serve_until_stopped(self) -> None:
-        """Serve until :meth:`request_stop` (or a ``shutdown`` request)."""
-        await self.start()
-        try:
-            await self._stopping.wait()
-        finally:
-            await self.stop()
-
-    async def stop(self) -> None:
-        """Stop accepting, let in-flight requests finish, tear the pool down."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._stopping is not None:
-            self._stopping.set()
-        if self._handlers:
-            # handlers notice the stopping event between requests and exit
-            # after answering whatever they are currently serving
-            await asyncio.gather(*tuple(self._handlers), return_exceptions=True)
+    async def _on_stop(self) -> None:
         # the pool shutdown joins worker processes; keep it off the loop
         await asyncio.get_running_loop().run_in_executor(
             None, self.engine.shutdown
@@ -178,14 +129,12 @@ class CompileService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.broker.metrics.connections += 1
-        self._handlers.add(asyncio.current_task())
         leftover = b""  # byte the disconnect probe read ahead (pipelining)
         try:
             while True:
-                line = await self._read_request(reader)
-                if line is None:  # stopping — connection is idle, hang up
-                    break
-                if line is _TOO_LONG:
+                try:
+                    line = await self._while_idle(reader.readline)
+                except (asyncio.LimitOverrunError, ValueError):
                     writer.write(
                         protocol.encode_line(
                             protocol.error_response(
@@ -195,7 +144,7 @@ class CompileService:
                     )
                     await writer.drain()
                     break
-                if not line:  # client EOF
+                if not line:  # client EOF, or the service is stopping
                     break
                 if leftover:
                     line = leftover + line
@@ -215,35 +164,6 @@ class CompileService:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        finally:
-            self._handlers.discard(asyncio.current_task())
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Next request line, b'' on EOF, None on shutdown, _TOO_LONG on abuse.
-
-        Races the read against the stopping event so a graceful shutdown
-        does not wait on idle keep-alive connections (and never cancels a
-        request that already started dispatching).
-        """
-        read = asyncio.ensure_future(reader.readline())
-        stop = asyncio.ensure_future(self._stopping.wait())
-        try:
-            await asyncio.wait({read, stop}, return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            for task in (read, stop):
-                if not task.done():
-                    task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await task
-        if not read.done() or read.cancelled():
-            return None
-        try:
-            return read.result()
-        except (asyncio.LimitOverrunError, ValueError):
-            return _TOO_LONG
 
     async def _dispatch_watched(
         self, line: bytes, reader: asyncio.StreamReader
@@ -444,150 +364,11 @@ class CompileService:
         }
 
 
-# -- blocking front-ends -------------------------------------------------------
+class ServiceThread(EndpointThread):
+    """A compile service running on a dedicated background thread."""
 
-
-def run_server(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    jobs: int = 1,
-    cache: Optional[CompileCache] = None,
-    remote=None,
-    validate: bool = False,
-    max_pending: int = DEFAULT_MAX_PENDING,
-    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-    queue_wait: float = 0.0,
-    job_deadline: Optional[float] = None,
-    job_attempts: int = DEFAULT_JOB_ATTEMPTS,
-    announce=None,
-) -> int:
-    """Run a compile service until SIGINT/SIGTERM (the ``repro serve`` body).
-
-    Returns a process exit code.  ``announce`` is called once with a
-    human-readable startup line.
-    """
-    import signal
-
-    async def _main() -> None:
-        service = CompileService(
-            host=host,
-            port=port,
-            jobs=jobs,
-            cache=cache,
-            remote=remote,
-            validate=validate,
-            max_pending=max_pending,
-            request_timeout=request_timeout,
-            queue_wait=queue_wait,
-            job_deadline=job_deadline,
-            job_attempts=job_attempts,
-        )
-        await service.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, service.request_stop)
-        if announce is not None:
-            bound_host, bound_port = service.address
-            cache_note = (
-                f"cache {service.engine.cache.root}"
-                if service.engine.cache is not None
-                else "no persistent cache"
-            )
-            remote_note = (
-                f", remote peer {remote.host}:{remote.port}"
-                if remote is not None
-                else ""
-            )
-            announce(
-                f"repro compile service on {bound_host}:{bound_port} "
-                f"({service.engine.jobs} worker(s), {cache_note}{remote_note}"
-                f"{', replay-validating' if validate else ''})"
-            )
-        await service.serve_until_stopped()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-class ServiceThread:
-    """A compile service running on a dedicated background thread.
-
-    Usage::
-
-        with ServiceThread(jobs=2) as service:
-            client = Client(*service.address)
-            ...
-
-    The thread owns its own event loop; :meth:`stop` signals it and joins.
-    Used by the tests, the throughput benchmark and the CI smoke script.
-    """
-
-    def __init__(self, **service_kwargs: Any) -> None:
-        service_kwargs.setdefault("port", 0)
-        self._kwargs = service_kwargs
-        self._service: Optional[CompileService] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            try:
-                self._service = CompileService(**self._kwargs)
-                await self._service.start()
-                self._loop = asyncio.get_running_loop()
-            except BaseException as exc:
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self._service.serve_until_stopped()
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            if self._startup_error is None and not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    def start(self) -> "ServiceThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"service failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self._service is None or self._loop is None:
-            raise RuntimeError("service failed to start (timeout)")
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._service is None:
-            raise RuntimeError("service is not started")
-        return self._service.address
+    endpoint_class = CompileService
 
     @property
     def service(self) -> CompileService:
-        if self._service is None:
-            raise RuntimeError("service is not started")
-        return self._service
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._service.request_stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        return self.endpoint

@@ -258,6 +258,7 @@ class CompileCache(CacheBackend):
                 except OSError:
                     pass
         self.stores += 1
+        self.puts += 1
         self._touch(key, len(text))
         self._evict_to_budget()
         if self.faults is not None:
@@ -468,17 +469,15 @@ class CompileCache(CacheBackend):
         }
 
     def stats(self) -> dict:
-        """CacheBackend tier snapshot: :meth:`health` plus eviction/latency."""
-        snap = dict(self.health())
-        snap.update(
-            {
-                "evictions": self.evictions,
-                "quarantine_evictions": self.quarantine_evictions,
-                "size_budget": self.size_budget,
-                "get_ms": round(self.get_ms, 3),
-                "put_ms": round(self.put_ms, 3),
-            }
-        )
+        """CacheBackend tier snapshot plus :meth:`health` and the disk's own.
+
+        ``errors`` counts failed reads and failed stores alike.
+        """
+        snap = super().stats()
+        snap.update(self.health())
+        snap["errors"] = self.read_errors + self.store_errors
+        snap["quarantine_evictions"] = self.quarantine_evictions
+        snap["size_budget"] = self.size_budget
         if self._index is not None:
             snap["entries"] = len(self._index)
             snap["size_bytes"] = self._index_bytes

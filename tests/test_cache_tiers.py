@@ -10,6 +10,7 @@ import socket
 import pytest
 
 from repro.compiler.config import CompilerConfig
+from repro.faultinject import ScriptedDiskFaults
 from repro.service import CachePeerThread, RemoteCache, RetryPolicy
 from repro.sweep import (
     CompileCache,
@@ -84,6 +85,24 @@ class TestDiskTier:
         assert restored.fingerprint() == result.fingerprint()
         snap = cache.stats()
         assert snap["stores"] == 1 and snap["evictions"] == 0
+
+    def test_tier_stats_count_failed_and_successful_writes(
+        self, tmp_path, compiled
+    ):
+        circuit, config, *_ = compiled
+        faults = ScriptedDiskFaults()
+        faults.arm(fail_writes=1)
+        engine = SweepEngine(cache=CompileCache(tmp_path, faults=faults))
+        engine.compile(circuit, config)
+        failed = engine.tier_stats()["disk"]
+        engine.compile(circuit, CompilerConfig(routing_paths=4))
+        stored = engine.tier_stats()["disk"]
+        engine.shutdown()
+        # the same counters as the memo and remote tiers report
+        assert {"puts", "errors", "rejected"} <= set(failed)
+        assert failed["errors"] == failed["store_errors"] == 1
+        assert failed["puts"] == 0
+        assert stored["puts"] == 1 and stored["errors"] == 1
 
     def test_size_budget_evicts_oldest_first(self, tmp_path, compiled):
         *_, result = compiled
