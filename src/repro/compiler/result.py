@@ -112,15 +112,16 @@ class CompilationResult:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Stable JSON-safe form (used by the sweep cache and worker IPC).
+    def to_dict(self, include_schedule: bool = True) -> dict:
+        """Stable JSON-safe form (the public API edge: ``full`` replies).
 
         The layout is stored by its generating parameters, not cell-by-cell:
         :func:`~repro.arch.layout.build_layout` is deterministic, so
         ``(num_data, routing_paths)`` reconstructs the identical grid.
+        ``include_schedule=False`` leaves the ops out: the binary codec
+        (:mod:`repro.compiler.codec`) stores them column by column.
         """
-        return {
-            "schedule": self.schedule.to_dict(),
+        data = {
             "layout": {
                 "num_data": self.layout.num_data,
                 "routing_paths": self.layout.routing_paths,
@@ -138,16 +139,30 @@ class CompilationResult:
             "stats": dict(self.stats),
             "aux_stats": dict(self.aux_stats),
         }
+        if include_schedule:
+            data["schedule"] = self.schedule.to_dict()
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CompilationResult":
+    def from_dict(
+        cls, data: dict, schedule: Optional[Schedule] = None
+    ) -> "CompilationResult":
+        """Rebuild a result from :meth:`to_dict` output.
+
+        ``schedule`` supplies the ops already decoded (the binary codec's
+        path); ``data["schedule"]`` is then not read.
+        """
         from ..arch.layout import build_layout
 
         profile_data = dict(data["profile"])
         profile_data["gate_counts"] = dict(profile_data["gate_counts"])
         elimination = data.get("elimination")
         return cls(
-            schedule=Schedule.from_dict(data["schedule"]),
+            schedule=(
+                Schedule.from_dict(data["schedule"])
+                if schedule is None
+                else schedule
+            ),
             layout=build_layout(
                 data["layout"]["num_data"], data["layout"]["routing_paths"]
             ),

@@ -23,8 +23,10 @@ that keep the *same* oracle failing) and corpus bookkeeping.
     its inputs (profile, qubit accounting, spacetime volume, elimination
     report presence).
 ``serialization-roundtrip``
-    ``CompilationResult.from_dict(json(to_dict()))`` is lossless — the
-    invariant the sweep cache, the worker IPC and the service all lean on.
+    Both encodings are lossless: ``CompilationResult.from_dict(json(
+    to_dict()))`` (the service's ``full`` replies) and ``codec.decode(
+    codec.encode(r))`` (worker IPC, the disk tier and the cache peer) give
+    a byte-identical ``json.dumps(to_dict(), sort_keys=True)``.
 ``baseline-sanity``
     The compiled makespan never exceeds the pessimistic fully-serial
     ceiling of :mod:`repro.baselines.serial`.
@@ -49,6 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..baselines.lower_bound import distillation_lower_bound
 from ..baselines.serial import pessimistic_serial_time
+from ..compiler import codec
 from ..compiler.pipeline import FaultTolerantCompiler
 from ..compiler.result import CompilationResult
 from ..ir import qasm
@@ -388,13 +391,14 @@ def _check_metrics(
 
 def _check_serialization(result: CompilationResult) -> List[OracleFailure]:
     try:
-        payload = json.loads(json.dumps(result.to_dict(), sort_keys=True))
-        rebuilt = CompilationResult.from_dict(payload)
+        canonical = json.dumps(result.to_dict(), sort_keys=True)
+        rebuilt = CompilationResult.from_dict(json.loads(canonical))
+        decoded = codec.decode(codec.encode(result))
     except Exception as exc:  # noqa: BLE001
         return [
             OracleFailure(
                 "serialization-roundtrip",
-                f"to_dict/from_dict raised {type(exc).__name__}: {exc}",
+                f"serialization raised {type(exc).__name__}: {exc}",
             )
         ]
     if rebuilt.to_dict() != result.to_dict():
@@ -402,6 +406,13 @@ def _check_serialization(result: CompilationResult) -> List[OracleFailure]:
             OracleFailure(
                 "serialization-roundtrip",
                 "to_dict() not a fixpoint across from_dict()",
+            )
+        ]
+    if json.dumps(decoded.to_dict(), sort_keys=True) != canonical:
+        return [
+            OracleFailure(
+                "serialization-roundtrip",
+                "codec.decode(codec.encode(r)) does not serialize like r",
             )
         ]
     if rebuilt.fingerprint() != result.fingerprint():

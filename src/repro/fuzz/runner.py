@@ -8,7 +8,7 @@ through the full differential pipeline:
    worker processes, results landing in a disposable on-disk cache);
 2. **oracles** — each scenario is checked against the bundle in
    :mod:`repro.fuzz.oracles`, including the differential legs: the engine
-   result (worker ``to_dict`` payload on ``--jobs > 1``) against a fresh
+   result (worker-encoded bytes on ``--jobs > 1``) against a fresh
    in-process serial compile, and against a warm replay through a second
    engine that can only hit the disk cache;
 3. **minimize** — failing scenarios are shrunk
@@ -284,7 +284,7 @@ def _check_one(
     failures = static_oracles(scenario, result)
 
     # differential leg 1: fresh in-process serial compile.  With --jobs > 1
-    # the engine result came from a worker process via its to_dict payload,
+    # the engine result came from a worker process as encoded bytes,
     # so this holds `--jobs 1` and `--jobs N` to identical behaviour.
     direct, crash = compile_scenario(scenario)
     if direct is None:

@@ -1,22 +1,25 @@
 """The cache peer behind ``repro cache-serve``.
 
 A :class:`CachePeer` is the **remote tier's server half**: a small
-asyncio TCP endpoint speaking the same newline-delimited JSON codec as
-the compile service, backed by one :class:`~repro.sweep.CompileCache`
-directory.  It never compiles anything — it only moves verified result
-payloads by SHA-256 job key, so a fleet of engines can warm each other.
+asyncio TCP endpoint speaking the same newline-delimited JSON protocol
+as the compile service, backed by one :class:`~repro.sweep.CompileCache`
+directory.  It never compiles anything — it only moves verified encoded
+results (:mod:`repro.compiler.codec`) by SHA-256 job key, so a fleet of
+engines can warm each other.  It never decodes them either: a hit is
+served as the entry file's bytes.
 
 Ops:
 
 ``cache-get``
     ``{"op": "cache-get", "key": K}`` answers
-    ``{"ok": true, "found": true, "key": K, "checksum": C, "result": {...}}``
-    or ``{"ok": true, "found": false}``.  The checksum lets the client
-    reject a torn frame or torn stored entry without trusting the peer.
+    ``{"ok": true, "found": true, "key": K, "blob": B}`` (``B`` the
+    base64 of the encoded result) or ``{"ok": true, "found": false}``.
+    The digest inside the encoded result lets the client reject a torn
+    frame or torn stored entry without trusting the peer.
 ``cache-put``
-    ``{"op": "cache-put", "key": K, "checksum": C, "result": {...}}``.
-    The peer recomputes the checksum over the payload and rejects a
-    mismatch with ``bad-request`` — a torn upload can never land.
+    ``{"op": "cache-put", "key": K, "blob": B}``.  The peer checks the
+    encoded result's digest against its body and rejects a mismatch
+    with ``bad-request`` — a torn upload can never land.
 ``stats`` / ``ping`` / ``shutdown``
     As on the compile service (``shutdown`` honoured unless started
     with ``allow_shutdown=False``).
@@ -29,17 +32,19 @@ guarantees the bytes are the bytes that were stored.
 
 ``faults`` is the chaos seam: a
 :class:`~repro.faultinject.ScriptedPeerFaults` can make a ``cache-get``
-reset the connection mid-frame or serve a deliberately torn entry.
+reset the connection mid-frame or serve a deliberately torn entry (one
+flipped body byte).
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import contextlib
-import copy
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
+from ..compiler import codec
 from ..sweep import CompileCache
 from ..sweep.cache import payload_checksum
 from . import protocol
@@ -180,23 +185,23 @@ class CachePeer(Endpoint):
                 protocol.E_BAD_REQUEST, "'key' must be a 64-char hex job key"
             )
         action = self.faults.on_get(key) if self.faults is not None else None
-        payload = self.cache.get(key)
-        if payload is None:
+        blob = self.cache.get(key)
+        if blob is None:
             return {"ok": True, "op": "cache-get", "found": False}, action
-        checksum = payload_checksum(payload)
         if action == "corrupt":
-            # chaos: serve a torn entry — the advertised checksum stays
-            # that of the stored bytes, so the client must reject it
-            payload = copy.deepcopy(payload)
-            payload["_torn"] = True
+            # chaos: serve a torn entry — one flipped body byte, so the
+            # digest the entry carries no longer matches and the client
+            # must reject it
+            torn = bytearray(blob)
+            torn[-1] ^= 0xFF
+            blob = bytes(torn)
         return (
             {
                 "ok": True,
                 "op": "cache-get",
                 "found": True,
                 "key": key,
-                "checksum": checksum,
-                "result": payload,
+                "blob": base64.b64encode(blob).decode("ascii"),
             },
             action,
         )
@@ -207,18 +212,18 @@ class CachePeer(Endpoint):
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST, "'key' must be a 64-char hex job key"
             )
-        result = message.get("result")
-        if not isinstance(result, dict):
-            raise protocol.ProtocolError(
-                protocol.E_BAD_REQUEST, "'result' must be a JSON object"
-            )
-        if message.get("checksum") != payload_checksum(result):
+        try:
+            blob = base64.b64decode(message["blob"], validate=True)
+            digest, body = codec.split(blob)
+            if payload_checksum(body) != digest:
+                raise ValueError("checksum does not match the payload")
+        except (KeyError, TypeError, ValueError) as exc:
             self.rejected_puts += 1
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST,
-                "checksum does not match the payload (torn upload rejected)",
-            )
-        self.cache.put(key, result)
+                f"torn or malformed upload rejected: {exc}",
+            ) from None
+        self.cache.put(key, blob)
         return {"ok": True, "op": "cache-put", "stored": True, "key": key}
 
     def _handle_stats(self) -> Dict[str, Any]:

@@ -1,10 +1,10 @@
 """Wire protocol of the compile service: newline-delimited JSON over TCP.
 
 One request is one JSON object on one line; the server answers with one
-JSON object on one line.  There is no framing beyond the newline, no
-pipelining requirement (the bundled client is strict request/response),
-and no binary payloads — every value that crosses the wire is the same
-JSON-safe form the sweep cache already persists.
+JSON object on one line.  There is no framing beyond the newline and no
+pipelining requirement (the bundled client is strict request/response).
+The one binary value, the cache peer's encoded result, rides as a base64
+string.
 
 Requests carry an ``op`` field:
 
@@ -47,7 +47,9 @@ from ..ir.passes import optimize as optimize_circuit
 from ..workloads import load_benchmark
 
 #: protocol revision; servers echo it in ``ping`` and ``stats`` responses.
-PROTOCOL_VERSION = 1
+#: 2: cache-peer ops carry the encoded result as base64 ``blob`` (was a
+#: ``result`` dict plus ``checksum``).
+PROTOCOL_VERSION = 2
 
 #: default TCP port of ``repro serve`` (an unassigned registered port).
 DEFAULT_PORT = 7787

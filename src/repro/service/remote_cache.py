@@ -2,7 +2,7 @@
 
 :class:`RemoteCache` implements the :class:`~repro.sweep.tiers.CacheBackend`
 contract over one TCP connection to a :mod:`~repro.service.cache_peer`
-(newline-delimited JSON, the same codec as the compile service).  It is
+(newline-delimited JSON, the compile service's line protocol).  It is
 the tier that lets a fleet of engines share one content-addressed store:
 ``get``/``put`` by SHA-256 job key, nothing else.
 
@@ -16,9 +16,17 @@ Design rules, in order of importance:
 * **Remote bytes are untrusted.**  ``trusted = False``: the engine
   replay-validates every remote hit before serving or promoting it (the
   poisoning defense).  Below that, :meth:`get` itself verifies the
-  peer's checksum against the payload, so a torn frame or torn remote
-  entry is rejected (counted in ``corrupt``) before validation is even
-  attempted.
+  SHA-256 digest the encoded result carries, so a torn frame or torn
+  remote entry is rejected (counted in ``corrupt``) before validation is
+  even attempted.
+* **Results ride as their encoded bytes.**  A put sends the bytes of
+  :mod:`repro.compiler.codec` as one base64 field of the JSON line, and a
+  hit returns the peer's stored bytes the same way; the engine promotes
+  a validated hit to disk with exactly those bytes.
+* **An oversized frame is refused, not sent.**  A request whose line
+  would exceed :data:`~repro.service.protocol.MAX_LINE_BYTES` fails
+  locally, counted in ``too_large`` (and ``errors``), instead of being
+  sent only for the peer to refuse it as an over-long line.
 * **Outages are cheap.**  Transient failures retry on the shared
   :class:`~repro.service.client.RetryPolicy` (small budget, jittered
   backoff); repeated failures trip a circuit breaker that skips the
@@ -29,12 +37,14 @@ Design rules, in order of importance:
 
 from __future__ import annotations
 
+import base64
 import random
 import socket
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..compiler import codec
 from ..sweep.cache import payload_checksum
 from ..sweep.tiers import CacheBackend
 from . import protocol
@@ -93,6 +103,7 @@ class RemoteCache(CacheBackend):
         self.breaker_threshold = max(1, int(breaker_threshold))
         self.breaker_cooldown = breaker_cooldown
         self.corrupt = 0  # frames/entries rejected by the checksum check
+        self.too_large = 0  # requests over the frame limit, never sent
         self.skipped = 0  # requests the open breaker never sent
         self.breaker_trips = 0
         self._sleep = sleep
@@ -131,10 +142,10 @@ class RemoteCache(CacheBackend):
         with self._io:
             self._drop_connection()
 
-    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _exchange(self, frame: bytes) -> Dict[str, Any]:
         if self._sock is None:
             self._connect()
-        self._sock.sendall(protocol.encode_line(message))
+        self._sock.sendall(frame)
         line = self._reader.readline()
         if not line:
             raise ConnectionError("cache peer closed the connection")
@@ -156,13 +167,18 @@ class RemoteCache(CacheBackend):
 
     def _request(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """One request, retried and breaker-gated; None on any failure."""
+        frame = protocol.encode_line(message)
         with self._io:
+            if len(frame) > protocol.MAX_LINE_BYTES:
+                self.too_large += 1
+                self.errors += 1
+                return None
             if self._breaker_open():
                 self.skipped += 1
                 return None
             for attempt in range(self.retry.attempts):
                 try:
-                    reply = self._exchange(message)
+                    reply = self._exchange(frame)
                 except (OSError, protocol.ProtocolError, ValueError):
                     # the connection is in an unknown state — rebuild it
                     self._drop_connection()
@@ -191,31 +207,33 @@ class RemoteCache(CacheBackend):
 
     # -- the CacheBackend contract ------------------------------------------
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[bytes]:
         reply = self._request({"op": "cache-get", "key": key})
         if reply is None or not reply.get("found"):
             return None
-        result = reply.get("result")
-        if (
-            not isinstance(result, dict)
-            or reply.get("key") != key
-            or reply.get("checksum") != payload_checksum(result)
-        ):
+        try:
+            if reply.get("key") != key:
+                raise ValueError("reply is for a different key")
+            blob = base64.b64decode(reply["blob"], validate=True)
+            digest, body = codec.split(blob)
+            if payload_checksum(body) != digest:
+                raise ValueError("entry failed its checksum")
+        except (KeyError, TypeError, ValueError):
             # torn frame or torn remote entry: the bytes do not match
             # what the peer claims they are — reject before validation
             self.corrupt += 1
             return None
-        return result
+        return blob
 
-    def _put(self, key: str, result_dict: dict) -> None:
-        self._request(
+    def _put(self, key: str, blob: bytes) -> bool:
+        reply = self._request(
             {
                 "op": "cache-put",
                 "key": key,
-                "checksum": payload_checksum(result_dict),
-                "result": result_dict,
+                "blob": base64.b64encode(blob).decode("ascii"),
             }
         )
+        return reply is not None
 
     # -- peer introspection (CLI / benchmarks) ------------------------------
 
@@ -231,6 +249,7 @@ class RemoteCache(CacheBackend):
     def stats(self) -> dict:
         snap = super().stats()
         snap["corrupt"] = self.corrupt
+        snap["too_large"] = self.too_large
         snap["skipped"] = self.skipped
         snap["breaker_trips"] = self.breaker_trips
         snap["peer"] = f"{self.host}:{self.port}"

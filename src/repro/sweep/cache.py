@@ -1,7 +1,11 @@
 """Persistent, content-addressed store of compilation results (disk tier).
 
-Each entry is one JSON file named by its job key (see
-:mod:`repro.sweep.jobs`): ``<cache_dir>/<key[:2]>/<key>.json``.  Because
+Each entry is one file named by its job key (see
+:mod:`repro.sweep.jobs`): ``<cache_dir>/<key[:2]>/<key>.json``.  It holds
+the key (64 ASCII hex characters) followed by the result exactly as
+:func:`repro.compiler.codec.encode` produced it — the bytes the worker
+sent over the pool pipe and the cache peer sends over its socket (the
+``.json`` suffix is kept so the path scheme never changes).  Because
 the key already covers the circuit, the full compiler config and the
 serialization schema, invalidation is automatic — any change to the input
 or the format simply addresses a different file.  Deleting the directory
@@ -23,8 +27,8 @@ The store is crash-safe in both directions:
   an empty one.  A failing write (disk full, permission error) is
   *counted*, not raised: the cache is an accelerator, so the caller's
   freshly compiled result must still reach the client.
-* **reads** verify a SHA-256 checksum recorded at write time over the
-  canonical result payload.  An entry that fails to parse, fails its
+* **reads** verify the SHA-256 checksum the encoded result carries over
+  its compressed body.  An entry that fails to parse, fails its
   checksum, or carries the wrong key is **quarantined** — moved into
   ``<cache_dir>/quarantine/`` and counted — never silently served and
   never allowed to crash the request; the lookup simply misses and the
@@ -41,18 +45,20 @@ raise ``OSError`` or truncate the just-written file.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import tempfile
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, TypeVar, Union
 
+from ..compiler import codec
+from ..compiler.codec import payload_checksum
 from ..compiler.result import CompilationResult
 from .tiers import CacheBackend
+
+_T = TypeVar("_T")
 
 #: environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -63,6 +69,9 @@ QUARANTINE_DIR = "quarantine"
 #: default bound on quarantined entries kept around for post-mortems.
 DEFAULT_QUARANTINE_CAP = 64
 
+#: an entry file starts with its 64-hex-character job key.
+_KEY_BYTES = 64
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/sweep``."""
@@ -70,12 +79,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro" / "sweep"
-
-
-def payload_checksum(result_dict: dict) -> str:
-    """SHA-256 over the canonical JSON form of a serialized result."""
-    canonical = json.dumps(result_dict, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class FaultInjector:
@@ -164,21 +167,23 @@ class CompileCache(CacheBackend):
 
     # -- read path ----------------------------------------------------------
 
-    def _read_entry(self, key: str) -> Optional[Tuple[dict, CompilationResult]]:
-        """The verified ``(payload, result)`` for ``key``, or None.
+    def _read_entry(
+        self, key: str, build: Callable[[bytes], _T]
+    ) -> Optional[_T]:
+        """``build(encoded result)`` for ``key``'s verified entry, or None.
 
         A missing file is a plain miss.  A present-but-unreadable file is
         a miss that counts a ``read_error`` (the bytes may be fine — the
-        I/O was not).  A readable file whose contents fail to parse,
-        carry the wrong key, or fail the checksum is quarantined: moved
-        to ``quarantine/`` and counted, so corruption is visible in
-        stats and can never be served or re-hit on the next lookup.
+        I/O was not).  A readable file that carries the wrong key, fails
+        the checksum or fails ``build`` is quarantined: moved to
+        ``quarantine/`` and counted, so corruption is visible in stats
+        and can never be served or re-hit on the next lookup.
         """
         path = self._path(key)
         try:
             if self.faults is not None:
                 self.faults.on_read(path)
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
             self.misses += 1
@@ -188,69 +193,65 @@ class CompileCache(CacheBackend):
             self.misses += 1
             return None
         try:
-            data = json.loads(raw)
-            if data["key"] != key:
+            if raw[:_KEY_BYTES] != key.encode():
                 raise ValueError("entry is addressed by a different key")
-            if data["checksum"] != payload_checksum(data["result"]):
+            blob = raw[_KEY_BYTES:]
+            digest, body = codec.split(blob)
+            if payload_checksum(body) != digest:
                 raise ValueError("entry failed its checksum")
-            result = CompilationResult.from_dict(data["result"])
-        except (ValueError, KeyError, TypeError):
+            value = build(blob)
+        except ValueError:
             self._quarantine(path)
             self._forget(key)
             self.misses += 1
             return None
         self.hits += 1
         self._touch(key, len(raw))
-        return data["result"], result
+        return value
 
-    def _pinned_read(self, key: str) -> Optional[Tuple[dict, CompilationResult]]:
+    def _pinned_read(
+        self, key: str, build: Callable[[bytes], _T]
+    ) -> Optional[_T]:
         """Read ``key`` with the entry pinned against concurrent eviction."""
         started = time.perf_counter()
         self._pin(key)
         try:
-            return self._read_entry(key)
+            return self._read_entry(key, build)
         finally:
             self._unpin(key)
             self.get_ms += (time.perf_counter() - started) * 1000.0
 
     def load(self, key: str) -> Optional[CompilationResult]:
         """The verified cached result for ``key``, or None (see `_read_entry`)."""
-        entry = self._pinned_read(key)
-        return None if entry is None else entry[1]
+        return self._pinned_read(key, codec.decode)
 
-    def get(self, key: str) -> Optional[dict]:
-        """CacheBackend contract: the serialized result for ``key``, or None."""
-        entry = self._pinned_read(key)
-        return None if entry is None else entry[0]
+    def get(self, key: str) -> Optional[bytes]:
+        """CacheBackend contract: the verified encoded result, undecoded."""
+        return self._pinned_read(key, bytes)
 
     def get_result(self, key: str) -> Optional[CompilationResult]:
         return self.load(key)
 
     # -- write path ---------------------------------------------------------
 
-    def _write_entry(self, key: str, result_dict: dict) -> None:
+    def _write_entry(self, key: str, blob: bytes) -> bool:
         path = self._path(key)
-        envelope = {
-            "key": key,
-            "checksum": payload_checksum(result_dict),
-            "result": result_dict,
-        }
-        text = json.dumps(envelope, sort_keys=True)
         tmp = None
         try:
             if self.faults is not None:
                 self.faults.on_write(path)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(key.encode())
+                handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
             tmp = None
         except OSError:
             self.store_errors += 1
-            return
+            return False
         finally:
             if tmp is not None:
                 try:
@@ -259,35 +260,36 @@ class CompileCache(CacheBackend):
                     pass
         self.stores += 1
         self.puts += 1
-        self._touch(key, len(text))
+        self._touch(key, _KEY_BYTES + len(blob))
         self._evict_to_budget()
         if self.faults is not None:
             self.faults.after_write(path)
+        return True
 
-    def put(self, key: str, result_dict: dict) -> None:
-        """Durably persist a serialized result under ``key`` (atomic).
+    def put(self, key: str, blob: bytes) -> bool:
+        """Durably persist an encoded result under ``key`` (atomic).
 
         A failing write is swallowed and counted in ``store_errors``: the
         cache accelerates later runs, it must never fail the run that is
-        trying to warm it.
+        trying to warm it.  Returns whether the entry landed.
         """
         started = time.perf_counter()
         try:
-            self._write_entry(key, result_dict)
+            return self._write_entry(key, blob)
         finally:
             self.put_ms += (time.perf_counter() - started) * 1000.0
 
     def store(self, key: str, result: CompilationResult) -> None:
         """Object-level :meth:`put` (the legacy API)."""
-        self.put(key, result.to_dict())
+        self.put(key, codec.encoded(result))
 
     def put_result(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
-        self.put(key, payload if payload is not None else result.to_dict())
+        self.put(key, payload if payload is not None else codec.encoded(result))
 
     # -- LRU size budget ----------------------------------------------------
 
@@ -402,25 +404,22 @@ class CompileCache(CacheBackend):
         self._trim_quarantine()
 
     def quarantine_payload(
-        self, key: str, result_dict: dict, reason: str = "remote"
+        self, key: str, blob: bytes, reason: str = "remote"
     ) -> None:
-        """Park a poisoned payload that never touched the entry tree.
+        """Park a poisoned encoded result that never touched the entry tree.
 
         Used when an **untrusted** tier (a remote peer) serves an entry
         that fails replay validation: the bytes were never written under
         ``<key[:2]>/<key>.json``, but keeping them around (bounded, like
-        every quarantined entry) makes the poisoning diagnosable.
+        every quarantined entry, and in the entry layout) makes the
+        poisoning diagnosable.
         """
         target_dir = self.root / QUARANTINE_DIR
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
-            target = target_dir / f"{key}.{reason}.json"
-            with open(target, "w") as handle:
-                json.dump(
-                    {"key": key, "reason": reason, "result": result_dict},
-                    handle,
-                    sort_keys=True,
-                )
+            with open(target_dir / f"{key}.{reason}.json", "wb") as handle:
+                handle.write(key.encode())
+                handle.write(blob)
         except OSError:
             return
         self.quarantined += 1

@@ -17,10 +17,13 @@ compiles through.  Resolution order for every job (the tier stack of
    :meth:`SweepEngine.prefetch` (the pool survives worker crashes and
    enforces per-job deadlines; see :mod:`repro.sweep.supervisor`).
 
-Workers ship results back as their stable ``to_dict`` form (the same bytes
-the cache persists), so a result is identical whether it was computed
-serially, in a worker, or read back from disk — parallel and cached runs
-are bit-identical to serial ones.
+Workers ship results back encoded by :mod:`repro.compiler.codec`, and
+those bytes are the ones every tier then stores: the parent decodes them
+once for itself and hands the same bytes to the disk tier and the remote
+peer, with no second encoding.  :func:`~repro.compiler.codec.decode`
+reproduces a result exactly, so a result is identical whether it was
+computed serially, in a worker, or read back from disk — parallel and
+cached runs are bit-identical to serial ones.
 
 The engine is installed per run with :func:`use_engine`;
 ``experiments.runner`` falls back to a private serial engine when none is
@@ -44,6 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..compiler import codec
 from ..compiler.config import CompilerConfig
 from ..compiler.pipeline import FaultTolerantCompiler
 from ..compiler.result import CompilationResult
@@ -95,10 +99,10 @@ class SweepCounters:
         )
 
 
-def _compile_payload(payload: Tuple[Circuit, CompilerConfig]) -> dict:
-    """Worker entry point: compile one job, return the serialized result."""
+def _compile_payload(payload: Tuple[Circuit, CompilerConfig]) -> bytes:
+    """Worker entry point: compile one job, return the encoded result."""
     circuit, config = payload
-    return FaultTolerantCompiler(config).compile(circuit).to_dict()
+    return codec.encode(FaultTolerantCompiler(config).compile(circuit))
 
 
 class SweepEngine:
@@ -252,7 +256,7 @@ class SweepEngine:
                 return True
             if self.cache is not None:
                 self.cache.quarantine_payload(
-                    key, result.to_dict(), reason=tier.name
+                    key, codec.encoded(result), reason=tier.name
                 )
             return False
 
@@ -283,7 +287,7 @@ class SweepEngine:
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         """Fill every tier (memo, disk, and the remote peer when present)."""
         self.tiers.fill(key, result, payload)
@@ -344,11 +348,11 @@ class SweepEngine:
             return None
         return self._pool.stats.as_dict()
 
-    def submit(self, circuit: Circuit, config: CompilerConfig) -> "Future[dict]":
+    def submit(self, circuit: Circuit, config: CompilerConfig) -> "Future[bytes]":
         """Dispatch one compile to the persistent pool.
 
-        Returns a future of the result's stable ``to_dict`` payload (the
-        same bytes the cache persists).  The caller is expected to hand
+        Returns a future of the encoded result (the same bytes the cache
+        tiers persist).  The caller is expected to hand
         the payload back to :meth:`adopt`, which folds it into the memo,
         the disk cache and the counters.  Cache lookup is *not* performed
         here — pair with :meth:`cached_result` first.
@@ -381,17 +385,18 @@ class SweepEngine:
         self,
         circuit: Circuit,
         config: CompilerConfig,
-        payload: dict,
+        payload: bytes,
         key: Optional[str] = None,
     ) -> CompilationResult:
-        """Fold a worker-produced ``to_dict`` payload into this engine.
+        """Fold a worker-produced encoded result into this engine.
 
-        Counts the compilation, memoises (and persists) the result, and
-        validates it when the engine validates.  This is the collection
-        half of :meth:`submit`, split out so an async caller can await
-        the worker future on its own event loop.
+        Counts the compilation, memoises the result and persists
+        ``payload`` itself (no re-encoding), and validates it when the
+        engine validates.  This is the collection half of :meth:`submit`,
+        split out so an async caller can await the worker future on its
+        own event loop.
         """
-        result = CompilationResult.from_dict(payload)
+        result = codec.decode(payload)
         if key is None:
             key = job_key(circuit, config)
         with self._lock:

@@ -32,7 +32,10 @@ from ..ir.circuit import Circuit
 #: serialization-format version; part of every job key.
 #: 2: CompilationResult gained ``aux_stats``; older cached payloads would
 #: deserialize with empty diagnostics, so re-address them.
-CACHE_SCHEMA = 2
+#: 3: entries hold the binary encoding of :mod:`repro.compiler.codec`
+#: instead of a JSON envelope; a schema-2 file would only ever be
+#: quarantined as corrupt, so re-address rather than read it.
+CACHE_SCHEMA = 3
 
 
 @lru_cache(maxsize=1)

@@ -5,10 +5,12 @@ inside :class:`~repro.sweep.executor.SweepEngine`, the crash-safe disk
 :class:`~repro.sweep.cache.CompileCache`, and nothing at all between
 fleet members.  This module gives every tier the same shape:
 
-* :class:`CacheBackend` — the contract: ``get(key) -> result dict | None``,
-  ``put(key, result_dict)``, ``stats()``.  Every backend counts hits,
-  misses, puts, evictions, errors and cumulative get/put latency, so the
-  service ``stats`` op and ``repro bench`` meta can report each tier.
+* :class:`CacheBackend` — the contract: ``get(key) -> bytes | None``,
+  ``put(key, blob)``, ``stats()``, where ``blob`` is a result encoded by
+  :mod:`repro.compiler.codec`.  Every backend counts hits, misses, puts
+  (successful stores only), evictions, errors and cumulative get/put
+  latency, so the service ``stats`` op and ``repro bench`` meta can
+  report each tier.
 * :class:`MemoryCache` — the in-process memo tier: a bounded LRU of
   live :class:`~repro.compiler.result.CompilationResult` objects
   (``SweepEngine._memo``, extracted and given an eviction policy).
@@ -26,6 +28,11 @@ memo; a disk hit warms memo), so the next lookup resolves at the
 cheapest possible tier.  A fill (freshly compiled result) lands in every
 tier, which is how one engine's compile becomes the whole fleet's warm
 hit.
+
+A result is encoded at most once on its way through the stack: a fill
+encodes it once for every byte-storing tier, and a result decoded from a
+lower tier is promoted with the very bytes it arrived in
+(:func:`repro.compiler.codec.encoded`).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..compiler import codec
 from ..compiler.result import CompilationResult
 
 #: default bound on the in-process memo tier (entries, not bytes).
@@ -50,12 +58,12 @@ IngestGuard = Callable[["CacheBackend", str, CompilationResult], bool]
 class CacheBackend:
     """Contract and shared accounting for one cache tier.
 
-    Subclasses implement ``_get(key) -> Optional[dict]`` and
-    ``_put(key, result_dict)``; the public :meth:`get`/:meth:`put`
-    wrappers record hit/miss/put counters and cumulative latency.
-    Backends that hold live result objects (the memo tier) override
-    :meth:`get_result`/:meth:`put_result` to skip the dict round-trip —
-    those overrides must record the same counters via
+    Subclasses implement ``_get(key) -> Optional[bytes]`` and
+    ``_put(key, blob) -> bool`` (True when stored); the public
+    :meth:`get`/:meth:`put` wrappers record hit/miss/put counters and
+    cumulative latency.  Backends that hold live result objects (the memo
+    tier) override :meth:`get_result`/:meth:`put_result` to skip the
+    codec — those overrides must record the same counters via
     :meth:`_record_get`/:meth:`_record_put`.
 
     Attributes:
@@ -64,8 +72,8 @@ class CacheBackend:
         trusted: False for tiers whose bytes crossed a trust boundary;
             :class:`TieredCache` replay-validates their hits on ingest.
         object_store: True when the tier stores live result objects and
-            ignores the serialized payload (lets :class:`TieredCache`
-            skip ``to_dict`` when no dict-storing tier needs filling).
+            ignores the encoded payload (lets :class:`TieredCache` skip
+            encoding when no byte-storing tier needs filling).
     """
 
     name = "tier"
@@ -94,55 +102,69 @@ class CacheBackend:
             else:
                 self.misses += 1
 
-    def _record_put(self, started: float) -> None:
+    def _record_put(self, started: float, stored: bool = True) -> None:
         elapsed = (time.perf_counter() - started) * 1000.0
         with self._stats_lock:
             self.put_ms += elapsed
-            self.puts += 1
+            if stored:
+                self.puts += 1
 
-    # -- the dict-level contract --------------------------------------------
+    # -- the byte-level contract --------------------------------------------
 
-    def get(self, key: str) -> Optional[dict]:
-        """The serialized result stored under ``key``, or None (a miss)."""
+    def get(self, key: str) -> Optional[bytes]:
+        """The encoded result stored under ``key``, or None (a miss)."""
         started = time.perf_counter()
-        payload = self._get(key)
-        self._record_get(payload is not None, started)
-        return payload
+        blob = self._get(key)
+        self._record_get(blob is not None, started)
+        return blob
 
-    def put(self, key: str, result_dict: dict) -> None:
-        """Store a serialized result under ``key`` (best effort)."""
+    def put(self, key: str, blob: bytes) -> bool:
+        """Store an encoded result under ``key`` (best effort).
+
+        Returns whether it was stored; only a stored entry counts as a put.
+        """
         started = time.perf_counter()
-        self._put(key, result_dict)
-        self._record_put(started)
+        stored = self._put(key, blob)
+        self._record_put(started, stored)
+        return stored
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[bytes]:
         raise NotImplementedError
 
-    def _put(self, key: str, result_dict: dict) -> None:
+    def _put(self, key: str, blob: bytes) -> bool:
         raise NotImplementedError
 
     # -- object-level fast path (what the engine actually calls) ------------
 
     def get_result(self, key: str) -> Optional[CompilationResult]:
-        """Like :meth:`get` but returning a live result object."""
-        payload = self.get(key)
-        if payload is None:
+        """Like :meth:`get` but returning a live (decoded) result object.
+
+        Bytes that pass the tier's integrity check but do not decode are
+        counted in ``rejected`` and missed, like an entry the ingest guard
+        refuses.
+        """
+        blob = self.get(key)
+        if blob is None:
             return None
-        return CompilationResult.from_dict(payload)
+        try:
+            return codec.decode(blob)
+        except codec.CodecError:
+            with self._stats_lock:
+                self.rejected += 1
+            return None
 
     def put_result(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         """Like :meth:`put` from a live result.
 
-        ``payload`` lets callers that already serialized the result (a
-        worker round-trip, a fill into several tiers) avoid repeating
-        ``to_dict`` per tier.
+        ``payload`` lets callers that already hold the encoded bytes (a
+        worker round-trip, a fill into several tiers) skip encoding.
         """
-        self.put(key, payload if payload is not None else result.to_dict())
+        self.put(key, payload if payload is not None else codec.encoded(result))
 
     # -- reporting ----------------------------------------------------------
 
@@ -200,12 +222,13 @@ class MemoryCache(CacheBackend):
             with self._stats_lock:
                 self.evictions += evicted
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[bytes]:
         result = self._fetch(key)
-        return None if result is None else result.to_dict()
+        return None if result is None else codec.encoded(result)
 
-    def _put(self, key: str, result_dict: dict) -> None:
-        self._insert(key, CompilationResult.from_dict(result_dict))
+    def _put(self, key: str, blob: bytes) -> bool:
+        self._insert(key, codec.decode(blob))
+        return True
 
     def get_result(self, key: str) -> Optional[CompilationResult]:
         started = time.perf_counter()
@@ -217,7 +240,7 @@ class MemoryCache(CacheBackend):
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         started = time.perf_counter()
         self._insert(key, result)
@@ -278,25 +301,28 @@ class TieredCache:
         return None
 
     def _promote(self, key: str, result: CompilationResult, depth: int) -> None:
-        if depth == 0:
-            return
-        upper = self.tiers[:depth]
-        payload = None
-        if any(not tier.object_store for tier in upper):
-            payload = result.to_dict()
-        for tier in upper:
-            tier.put_result(key, result, payload)
+        if depth > 0:
+            self._put_all(self.tiers[:depth], key, result)
 
     def fill(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
-        """Store a fresh result in every tier (serializing at most once)."""
-        if payload is None and any(not t.object_store for t in self.tiers):
-            payload = result.to_dict()
-        for tier in self.tiers:
+        """Store a fresh result in every tier (encoding at most once)."""
+        self._put_all(self.tiers, key, result, payload)
+
+    @staticmethod
+    def _put_all(
+        tiers: Sequence[CacheBackend],
+        key: str,
+        result: CompilationResult,
+        payload: Optional[bytes] = None,
+    ) -> None:
+        if payload is None and any(not tier.object_store for tier in tiers):
+            payload = codec.encoded(result)
+        for tier in tiers:
             tier.put_result(key, result, payload)
 
     def stats(self) -> Dict[str, dict]:

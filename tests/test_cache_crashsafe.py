@@ -6,11 +6,12 @@ counted misses instead of request failures, and a failing store never
 breaks the compile that tried to warm it.
 """
 
-import json
 import os
+import zlib
 
 import pytest
 
+from repro.compiler import codec
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.faultinject import ScriptedDiskFaults
@@ -52,9 +53,13 @@ class TestRoundTrip:
         _, _, key, result = compiled
         cache = CompileCache(tmp_path)
         cache.store(key, result)
-        data = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
-        assert data["key"] == key
-        assert data["checksum"] == payload_checksum(data["result"])
+        raw = (tmp_path / key[:2] / f"{key}.json").read_bytes()
+        assert raw[:64] == key.encode()
+        digest, body = codec.split(raw[64:])
+        assert digest == payload_checksum(body)
+        # the entry is exactly the encoded result, stored undecoded
+        assert raw[64:] == codec.encode(result)
+        assert cache.get(key) == raw[64:]
 
     def test_missing_entry_is_plain_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
@@ -90,20 +95,33 @@ class TestQuarantine:
 
     def test_checksum_mismatch_quarantined(self, tmp_path, compiled):
         cache, key, path = self._stored(tmp_path, compiled)
-        data = json.loads(path.read_text())
-        data["result"]["t_states"] = data["result"]["t_states"] + 1
-        path.write_text(json.dumps(data))  # stale checksum now
-        assert cache.load(key) is None
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF  # one flipped body byte: stale checksum now
+        path.write_bytes(bytes(raw))
+        assert cache.get(key) is None  # the undecoded read checks it too
         assert cache.quarantined == 1
+        assert (tmp_path / QUARANTINE_DIR / path.name).exists()
 
     def test_wrong_key_quarantined(self, tmp_path, compiled):
         cache, key, path = self._stored(tmp_path, compiled)
-        data = json.loads(path.read_text())
         other = "f" * len(key)
         other_path = tmp_path / other[:2] / f"{other}.json"
         other_path.parent.mkdir(parents=True, exist_ok=True)
-        other_path.write_text(json.dumps(data))  # right checksum, wrong address
+        # right checksum, wrong address
+        other_path.write_bytes(path.read_bytes())
         assert cache.load(other) is None
+        assert cache.quarantined == 1
+
+    def test_undecodable_body_quarantined(self, tmp_path, compiled):
+        """A body whose checksum holds but which is no encoded result."""
+        cache, key, path = self._stored(tmp_path, compiled)
+        body = zlib.compress(b"\x05\x00\x00\x00junk!")
+        prefix = codec.MAGIC + bytes([codec.FORMAT])
+        path.write_bytes(
+            key.encode() + prefix + payload_checksum(body).encode() + body
+        )
+        assert cache.get(key) is not None  # integrity holds: served as bytes
+        assert cache.load(key) is None  # but it never decodes into a result
         assert cache.quarantined == 1
 
     def test_quarantined_entries_not_counted_as_cached(self, tmp_path, compiled):

@@ -4,13 +4,17 @@ cache peer protocol, and the tier interactions the design promises —
 promotion on hit, replay-validated ingest of remote bytes, and outage
 degrading to a miss with identical fingerprints."""
 
-import json
+import base64
+import dataclasses
 import socket
+import zlib
 
 import pytest
 
+from repro.compiler import codec
 from repro.compiler.config import CompilerConfig
-from repro.faultinject import ScriptedDiskFaults
+from repro.faultinject import ScriptedDiskFaults, ScriptedPeerFaults
+from repro.scheduling.events import Schedule
 from repro.service import CachePeerThread, RemoteCache, RetryPolicy
 from repro.sweep import (
     CompileCache,
@@ -79,7 +83,7 @@ class TestDiskTier:
         *_, key, result = compiled
         cache = CompileCache(tmp_path)
         assert cache.get(key) is None
-        cache.put(key, result.to_dict())
+        cache.put(key, codec.encode(result))
         assert cache.contains(key)
         restored = cache.get_result(key)
         assert restored.fingerprint() == result.fingerprint()
@@ -106,7 +110,7 @@ class TestDiskTier:
 
     def test_size_budget_evicts_oldest_first(self, tmp_path, compiled):
         *_, result = compiled
-        payload = result.to_dict()
+        payload = codec.encode(result)
         probe = CompileCache(tmp_path / "probe")
         probe.put(_keys(1)[0], payload)
         entry_size = sum(
@@ -125,7 +129,7 @@ class TestDiskTier:
     def test_pinned_entry_never_evicted(self, tmp_path, compiled):
         """An entry currently being served must survive budget eviction."""
         *_, result = compiled
-        payload = result.to_dict()
+        payload = codec.encode(result)
         cache = CompileCache(tmp_path, size_budget=1)  # everything over budget
         pinned, other = _keys(2)
         cache._pin(pinned)  # a read of this entry is in flight
@@ -144,7 +148,7 @@ class TestDiskTier:
         *_, result = compiled
         cache = CompileCache(tmp_path, quarantine_cap=3)
         for key in _keys(5):
-            cache.quarantine_payload(key, result.to_dict(), reason="remote")
+            cache.quarantine_payload(key, codec.encode(result), reason="remote")
         files = list((tmp_path / "quarantine").glob("*.json"))
         assert len(files) == 3
         assert cache.stats()["quarantine_evictions"] == 2
@@ -169,13 +173,14 @@ class TestCachePeer:
     def test_torn_upload_rejected(self, tmp_path, compiled):
         """A put whose checksum mismatches its payload must not land."""
         *_, key, result = compiled
+        torn = bytearray(codec.encode(result))
+        torn[-1] ^= 0xFF  # one flipped body byte: the digest no longer holds
         with CachePeerThread(cache=CompileCache(tmp_path)) as peer:
             host, port = peer.address
             request = {
                 "op": "cache-put",
                 "key": key,
-                "checksum": "0" * 64,  # wrong on purpose
-                "result": result.to_dict(),
+                "blob": base64.b64encode(bytes(torn)).decode("ascii"),
             }
             with socket.create_connection((host, port), timeout=5.0) as sock:
                 sock.sendall(protocol.encode_line(request))
@@ -196,6 +201,97 @@ class TestCachePeer:
                 reply = protocol.decode_line(sock.makefile("rb").readline())
             assert not reply["ok"]
             assert reply["error"]["code"] == protocol.E_BAD_REQUEST
+
+
+class TestRemoteCounters:
+    """What the remote tier counts: a put only when the peer stored it,
+    an oversized frame as a named error that is never sent, a torn reply
+    as ``corrupt``."""
+
+    def test_failed_put_is_an_error_not_a_put(self, tmp_path, compiled):
+        *_, key, result = compiled
+        with CachePeerThread(cache=CompileCache(tmp_path)) as peer:
+            address = peer.address
+            with _fast_remote(*address) as remote:
+                remote.put_result(key, result)
+                assert remote.stats()["puts"] == 1
+        # the peer is stopped now
+        with _fast_remote(*address) as remote:
+            remote.put_result(key, result)
+            snap = remote.stats()
+        assert snap["puts"] == 0
+        assert snap["errors"] == 1
+
+    def test_oversized_frame_is_counted_and_never_sent(
+        self, tmp_path, compiled, monkeypatch
+    ):
+        *_, key, result = compiled
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+        with CachePeerThread(cache=CompileCache(tmp_path)) as peer:
+            with RemoteCache(*peer.address) as remote:
+                remote.put_result(key, result)
+                snap = remote.stats()
+                assert snap["too_large"] == 1
+                assert snap["errors"] == 1
+                assert snap["puts"] == 0
+                assert remote.breaker_trips == 0  # the peer is healthy
+                # the peer never saw the put: this stats call is request 1
+                stats = remote.peer_stats()
+        assert stats["requests"] == 1
+        assert stats["entries"] == 0
+
+    def test_torn_reply_counted_corrupt(self, tmp_path, compiled):
+        *_, key, result = compiled
+        faults = ScriptedPeerFaults()
+        with CachePeerThread(cache=CompileCache(tmp_path), faults=faults) as peer:
+            with RemoteCache(*peer.address) as remote:
+                remote.put_result(key, result)
+                faults.arm(corrupt_gets=1)
+                assert remote.get(key) is None  # one flipped byte: rejected
+                assert remote.stats()["corrupt"] == 1
+                assert faults.corruptions == 1
+                assert remote.get(key) == codec.encode(result)  # budget spent
+
+    def test_undecodable_remote_entry_rejected(self, tmp_path, compiled):
+        """Bytes whose digest holds but which decode to nothing are missed."""
+        circuit, config, key, result = compiled
+        body = zlib.compress(b"\x02\x00\x00\x00{}")
+        junk = (
+            codec.MAGIC + bytes([codec.FORMAT])
+            + payload_checksum(body).encode() + body
+        )
+        peer_cache = CompileCache(tmp_path / "peer")
+        peer_cache.put(key, junk)
+        with CachePeerThread(cache=peer_cache) as peer:
+            engine = SweepEngine(
+                cache=CompileCache(tmp_path / "local"),
+                remote=RemoteCache(*peer.address),
+            )
+            fresh = engine.compile(circuit, config)
+            tiers = engine.tier_stats()
+            engine.shutdown()
+        assert fresh.fingerprint() == result.fingerprint()
+        assert engine.counters.compiled == 1
+        assert tiers["remote"]["rejected"] == 1
+        assert tiers["remote"]["corrupt"] == 0  # the frame itself was intact
+
+    @pytest.mark.slow
+    def test_large_result_round_trips_through_a_live_peer(self, tmp_path):
+        """A 16x16 Ising result (13 MB as JSON) fits one frame encoded."""
+        circuit = ising_2d(16)
+        config = CompilerConfig(routing_paths=4, num_factories=2)
+        engine = SweepEngine()
+        result = engine.compile(circuit, config)
+        engine.shutdown()
+        key = job_key(circuit, config)
+        with CachePeerThread(cache=CompileCache(tmp_path)) as peer:
+            with RemoteCache(*peer.address, timeout=30.0) as remote:
+                remote.put_result(key, result)
+                restored = remote.get_result(key)
+                snap = remote.stats()
+        assert snap["puts"] == 1 and snap["errors"] == 0
+        assert restored is not None
+        assert restored.fingerprint() == result.fingerprint()
 
 
 def _dead_port():
@@ -227,6 +323,8 @@ class TestTierInteractions:
             assert engine.counters.compiled == 0
             assert engine.counters.remote_hits == 1
             assert disk.contains(key)  # promoted to the disk tier
+            # with the very bytes the peer stored: no decode-and-re-encode
+            assert disk.get(key) == peer.peer.cache.get(key)
             engine.compile(circuit, config)
             assert engine.counters.memo_hits == 1  # and to the memo tier
             tiers = engine.tier_stats()
@@ -234,14 +332,36 @@ class TestTierInteractions:
             assert tiers["memo"]["hits"] == 1
             engine.shutdown()
 
+    def test_remote_hit_is_promoted_without_reencoding(
+        self, tmp_path, compiled, monkeypatch
+    ):
+        circuit, config, key, result = compiled
+        with CachePeerThread(cache=CompileCache(tmp_path / "peer")) as peer:
+            with RemoteCache(*peer.address) as seeder:
+                seeder.put_result(key, result)
+
+            def no_encode(_result):
+                raise AssertionError("a promoted hit was encoded again")
+
+            monkeypatch.setattr(codec, "encode", no_encode)
+            engine = SweepEngine(
+                cache=CompileCache(tmp_path / "local"),
+                remote=RemoteCache(*peer.address),
+            )
+            hit = engine.compile(circuit, config)
+            engine.shutdown()
+        assert engine.counters.remote_hits == 1
+        assert hit.fingerprint() == result.fingerprint()
+
     def test_poisoned_remote_entry_rejected_and_quarantined(
         self, tmp_path, compiled
     ):
         circuit, config, key, result = compiled
-        poisoned = json.loads(json.dumps(result.to_dict()))
-        poisoned["schedule"]["ops"].pop()  # replay validation must notice
+        poisoned = dataclasses.replace(
+            result, schedule=Schedule(result.schedule.ops[:-1])
+        )  # one op short: replay validation must notice
         peer_cache = CompileCache(tmp_path / "peer")
-        peer_cache.put(key, poisoned)  # checksum is consistent: only
+        peer_cache.put(key, codec.encode(poisoned))  # checksum is consistent: only
         # replay validation can catch this
         with CachePeerThread(cache=peer_cache) as peer:
             disk = CompileCache(tmp_path / "local")
@@ -297,7 +417,7 @@ class TestTierInteractions:
         remote.close()
 
     def test_fill_and_promotion_serialize_once(self, compiled):
-        """TieredCache computes the payload dict at most once per fill."""
+        """TieredCache encodes the result at most once per fill."""
         *_, key, result = compiled
         calls = {"n": 0}
 

@@ -191,6 +191,25 @@ class TestOracles:
         oracles = {f.oracle for f in static_oracles(scenario, result)}
         assert "replay-validation" in oracles
 
+    def test_serialization_oracle_fires_on_a_lossy_codec(
+        self, stream, monkeypatch
+    ):
+        from repro.compiler import codec
+
+        scenario = stream[0]
+        result = _compiled(scenario)
+        assert static_oracles(scenario, result) == []
+        decode = codec.decode
+
+        def lossy(blob):
+            rebuilt = decode(blob)
+            rebuilt.schedule.ops[0] = rebuilt.schedule.ops[0].shifted(1e-9)
+            return rebuilt
+
+        monkeypatch.setattr(codec, "decode", lossy)
+        oracles = {f.oracle for f in static_oracles(scenario, result)}
+        assert oracles == {"serialization-roundtrip"}
+
     def test_determinism_oracle_fires_on_fingerprint_drift(self, stream):
         scenario = stream[0]
         a, b = _compiled(scenario), _compiled(scenario)

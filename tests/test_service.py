@@ -401,24 +401,15 @@ class TestServiceValidation:
         circuit, config = tiny_circuit(), tiny_config()
         key = job_key(circuit, config)
         result = FaultTolerantCompiler(config).compile(circuit)
-        payload = result.to_dict()
-        payload["schedule"]["ops"][0]["start"] = -5.0  # structure violation
-        cache_path = tmp_path / key[:2] / f"{key}.json"
-        cache_path.parent.mkdir(parents=True)
-        # checksum the tampered payload so the entry passes the cache's
-        # integrity layer — this test targets replay validation, the layer
-        # that catches corruption the checksum cannot (valid JSON, bad plan)
-        from repro.sweep.cache import payload_checksum
+        ops = result.schedule.ops
+        ops[0] = ops[0].shifted(-5.0)  # structure violation
+        # encode (and so checksum) the tampered result so the entry passes
+        # the cache's integrity layer — this test targets replay
+        # validation, the layer that catches corruption the checksum
+        # cannot (well-formed bytes, bad plan)
+        from repro.compiler import codec
 
-        cache_path.write_text(
-            json.dumps(
-                {
-                    "key": key,
-                    "checksum": payload_checksum(payload),
-                    "result": payload,
-                }
-            )
-        )
+        CompileCache(tmp_path).put(key, codec.encode(result))
 
         with ServiceThread(
             jobs=1, cache=CompileCache(tmp_path), validate=True

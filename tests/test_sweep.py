@@ -65,18 +65,20 @@ class TestJobIdentity:
         """Pinned keys: every cache tier, service request and gateway job id
         is addressed by these digests, so a change to the key derivation or
         to the config's fields must show up here.  The source-tree revision
-        is pinned: it moves with every edit by design."""
+        is pinned: it moves with every edit by design.  The digests below
+        are for ``CACHE_SCHEMA == 3``, which is hashed into every key."""
         from repro.sweep import jobs
 
         monkeypatch.setattr(jobs, "compiler_revision", lambda: "0" * 64)
+        assert jobs.CACHE_SCHEMA == 3
         demo = Circuit(2, name="demo").h(0).cx(0, 1).t(1)
         assert job_key(demo, CompilerConfig()) == (
-            "5487f57bfd870126b9784ff4f22572fcac2af478e3d139c459df429f03f395c1"
+            "aaa996d0339acefa6a460554f7b6028090001ef852c75c5fb200d3f21df7f613"
         )
         assert job_key(
             load_benchmark("ising_2d_10x10"),
             CompilerConfig(routing_paths=4, num_factories=2),
-        ) == "442fad9e20be7470bd03ce7f6aa9af4c4e4d9b8835f71a8cde3b09b817442003"
+        ) == "fb8a56b50cd586eb067953e4c02e85394a600eafcbb841016d5d5b21d58267fe"
 
 
 class TestPlanner:
