@@ -11,11 +11,11 @@ tree this script lives in, uncommitted edits included.
 
 For every workload, ``perfbench/run.py`` runs ``--pairs`` times in each
 tree, in ABBA order (pair 0 runs A then B, pair 1 B then A, ...) with
-the same ``--seed``, so drift in host speed hits both sides alike.  For
-each end-to-end metric of ``BENCHMARK.json`` the script prints the
-median of the per-pair B/A ratios with a seeded bootstrap 95% interval,
-in how many pairs B beat A, and a verdict against that metric's
-``bound``:
+the same seed (:data:`SEED`), so drift in host speed hits both sides
+alike.  For each end-to-end metric of ``BENCHMARK.json`` the script
+prints the median of the per-pair B/A ratios with a seeded bootstrap 95%
+interval, in how many pairs B beat A, and a verdict against that
+metric's ``bound``:
 
 ``better``
     the whole interval lies beyond the bound on the good side (below
@@ -23,8 +23,13 @@ in how many pairs B beat A, and a verdict against that metric's
 ``worse``
     the whole interval lies beyond the bound on the bad side (above
     ``1 + bound`` for a lower-is-better metric);
+``unresolved``
+    neither, and the interval is wider than the bound or reaches past it
+    on the bad side: these pairs cannot tell "unchanged" from "worse by
+    more than the bound";
 ``within noise``
-    anything else.
+    anything else: the interval is narrower than the bound and stays
+    inside it on the bad side.
 
 A failed run (exit status, ``correct: false`` or ``failed > 0``) is
 reported and its pair is dropped.
@@ -44,6 +49,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: the workload seed of every run on both sides, and the bootstrap seed.
+SEED = 0
 
 
 # -- statistics ------------------------------------------------------------------
@@ -83,28 +91,32 @@ def wins(ratios: Sequence[float], better: str) -> int:
 
 
 def verdict(low: float, high: float, bound: float, better: str) -> str:
-    """``better``/``worse``/``within noise`` of a B/A interval against ``bound``."""
+    """The verdict (see module doc) of a B/A interval against ``bound``."""
     if better == "lower":
         if high < 1.0 - bound:
             return "better"
         if low > 1.0 + bound:
             return "worse"
+        past_bound = high > 1.0 + bound
     else:
         if low > 1.0 + bound:
             return "better"
         if high < 1.0 - bound:
             return "worse"
+        past_bound = low < 1.0 - bound
+    if past_bound or high - low > bound:
+        return "unresolved"
     return "within noise"
 
 
 # -- running the benchmark ---------------------------------------------------------
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
+def _run(tree: Path, workload: str, seconds: float) -> Optional[dict]:
     """One ``perfbench/run.py`` run in ``tree``: its metric values, or None."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -136,7 +148,6 @@ def compare(
     workload: str,
     metrics: List[dict],
     pairs: int,
-    seed: int,
     seconds: float,
 ) -> List[Tuple[str, int, float, float, float, int, str]]:
     """ABBA pairs of one workload: a row per metric (see :func:`bootstrap_median`)."""
@@ -145,7 +156,7 @@ def compare(
         order = [("A", a_tree), ("B", b_tree)]
         if index % 2:
             order.reverse()
-        values = {label: _run(tree, workload, seed, seconds) for label, tree in order}
+        values = {label: _run(tree, workload, seconds) for label, tree in order}
         print(f"  {workload} pair {index + 1}/{pairs} done", file=sys.stderr)
         if values["A"] is None or values["B"] is None:
             continue
@@ -158,7 +169,7 @@ def compare(
         name = metric["name"]
         if not ratios[name]:
             continue
-        median, low, high = bootstrap_median(ratios[name], seed=seed)
+        median, low, high = bootstrap_median(ratios[name], seed=SEED)
         rows.append(
             (name, len(ratios[name]), median, low, high,
              wins(ratios[name], metric["better"]),
@@ -176,19 +187,18 @@ def main(argv=None) -> int:
                         help="workload to compare (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=float(spec.get("run_seconds", 15)))
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-ab-"))
     try:
         a_tree = _export(args.rev, workdir)
         print(f"A = {args.rev} ({a_tree}), B = {ROOT}; {args.pairs} ABBA pairs, "
-              f"seed {args.seed}, {args.seconds:g} s per run")
+              f"seed {SEED}, {args.seconds:g} s per run")
         print(f"{'workload':<15} {'metric':<17} {'n':>3} {'B/A':>7} "
               f"{'95% CI':>17} {'B wins':>6}  verdict (bound)")
         for workload in args.workload or workloads:
             rows = compare(a_tree, ROOT, workload, spec["end_to_end"],
-                           args.pairs, args.seed, args.seconds)
+                           args.pairs, args.seconds)
             bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
             for name, count, median, low, high, won, label in rows:
                 print(f"{workload:<15} {name:<17} {count:>3} {median:>7.3f} "

@@ -10,8 +10,12 @@ JSON edge (``full`` service replies, HTTP bodies, fuzz oracles).
 
 Layout of an encoded result::
 
-    b"RPRC" | format (u8) | SHA-256 of body (64 ASCII hex) | body
+    b"RPRC" | SHA-256 of body (64 ASCII hex) | body
     body = zlib( header length (u32 LE) | header JSON | column bytes )
+
+The bytes carry no version of their own: every copy lives under a job key,
+and the key hashes in ``CACHE_SCHEMA`` (:mod:`repro.sweep.jobs`), which is
+bumped on any layout change.
 
 The header holds every non-schedule field (``to_dict(include_schedule=
 False)``), the op count and one descriptor per :class:`ScheduledOp` field,
@@ -51,10 +55,7 @@ from .result import CompilationResult
 
 MAGIC = b"RPRC"
 
-#: bump on any layout change (and bump ``CACHE_SCHEMA`` with it).
-FORMAT = 1
-
-_PREFIX = struct.Struct("<4sB64s")
+_PREFIX = struct.Struct("<4s64s")
 _HEADER_LEN = struct.Struct("<I")
 
 #: zlib level: over the benchmark matrix, 1 encodes ~1.5x faster than the
@@ -160,7 +161,7 @@ def encode(result: CompilationResult) -> bytes:
         b"".join([_HEADER_LEN.pack(len(header)), header, *chunks]), _LEVEL
     )
     digest = payload_checksum(body).encode("ascii")
-    return _PREFIX.pack(MAGIC, FORMAT, digest) + body
+    return _PREFIX.pack(MAGIC, digest) + body
 
 
 def split(blob: Union[bytes, memoryview]) -> Tuple[str, memoryview]:
@@ -171,9 +172,9 @@ def split(blob: Union[bytes, memoryview]) -> Tuple[str, memoryview]:
     """
     if len(blob) < _PREFIX.size:
         raise CodecError("encoded result is truncated")
-    magic, version, digest = _PREFIX.unpack_from(blob)
-    if magic != MAGIC or version != FORMAT:
-        raise CodecError(f"not a format-{FORMAT} encoded result")
+    magic, digest = _PREFIX.unpack_from(blob)
+    if magic != MAGIC:
+        raise CodecError("not an encoded result")
     return digest.decode("ascii", "replace"), memoryview(blob)[_PREFIX.size:]
 
 

@@ -19,7 +19,8 @@ Ops:
 ``cache-put``
     ``{"op": "cache-put", "key": K, "blob": B}``.  The peer checks the
     encoded result's digest against its body and rejects a mismatch
-    with ``bad-request`` — a torn upload can never land.
+    with ``bad-request`` — a torn upload can never land.  The reply's
+    ``stored`` says whether the peer's own disk write succeeded.
 ``stats`` / ``ping`` / ``shutdown``
     As on the compile service (``shutdown`` honoured unless started
     with ``allow_shutdown=False``).
@@ -223,8 +224,8 @@ class CachePeer(Endpoint):
                 protocol.E_BAD_REQUEST,
                 f"torn or malformed upload rejected: {exc}",
             ) from None
-        self.cache.put(key, blob)
-        return {"ok": True, "op": "cache-put", "stored": True, "key": key}
+        stored = self.cache.put(key, blob)
+        return {"ok": True, "op": "cache-put", "stored": stored, "key": key}
 
     def _handle_stats(self) -> Dict[str, Any]:
         return {

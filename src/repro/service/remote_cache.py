@@ -233,7 +233,10 @@ class RemoteCache(CacheBackend):
                 "blob": base64.b64encode(blob).decode("ascii"),
             }
         )
-        return reply is not None
+        stored = bool(reply and reply.get("stored"))
+        if reply is not None and not stored:
+            self.errors += 1  # the peer answered, but its disk write failed
+        return stored
 
     # -- peer introspection (CLI / benchmarks) ------------------------------
 

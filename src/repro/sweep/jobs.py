@@ -29,7 +29,9 @@ from .. import __version__
 from ..compiler.config import CompilerConfig
 from ..ir.circuit import Circuit
 
-#: serialization-format version; part of every job key.
+#: serialization-format version; part of every job key, and the only
+#: version of the :mod:`repro.compiler.codec` layout: bump it on any
+#: change to the encoded bytes.
 #: 2: CompilationResult gained ``aux_stats``; older cached payloads would
 #: deserialize with empty diagnostics, so re-address them.
 #: 3: entries hold the binary encoding of :mod:`repro.compiler.codec`

@@ -54,7 +54,10 @@ class TestVerdict:
             (0.10, 0.20, "better"),  # wholly below 1 - bound
             (0.70, 0.80, "within noise"),  # straddles 1 - bound
             (0.95, 1.05, "within noise"),  # an A/A run
-            (1.20, 1.30, "within noise"),  # worse, but by less than the bound
+            (0.90, 1.20, "unresolved"),  # inside the bound, but wider than it
+            (0.95, 1.30, "unresolved"),  # reaches past 1 + bound
+            (1.20, 1.30, "unresolved"),  # may be worse by more than the bound
+            (0.10, 0.60, "better"),  # wide, but wholly below 1 - bound
             (1.30, 1.40, "worse"),  # wholly above 1 + bound
         ],
     )
@@ -65,6 +68,7 @@ class TestVerdict:
         assert ab.verdict(1.3, 1.4, bound=0.25, better="higher") == "better"
         assert ab.verdict(0.1, 0.2, bound=0.25, better="higher") == "worse"
         assert ab.verdict(0.9, 1.1, bound=0.25, better="higher") == "within noise"
+        assert ab.verdict(0.7, 1.05, bound=0.25, better="higher") == "unresolved"
 
 
 def test_wins_count_pairs_b_beat_a_and_not_ties():

@@ -116,9 +116,8 @@ class TestQuarantine:
         """A body whose checksum holds but which is no encoded result."""
         cache, key, path = self._stored(tmp_path, compiled)
         body = zlib.compress(b"\x05\x00\x00\x00junk!")
-        prefix = codec.MAGIC + bytes([codec.FORMAT])
         path.write_bytes(
-            key.encode() + prefix + payload_checksum(body).encode() + body
+            key.encode() + codec.MAGIC + payload_checksum(body).encode() + body
         )
         assert cache.get(key) is not None  # integrity holds: served as bytes
         assert cache.load(key) is None  # but it never decodes into a result

@@ -222,6 +222,21 @@ class TestRemoteCounters:
         assert snap["puts"] == 0
         assert snap["errors"] == 1
 
+    def test_failed_peer_write_is_an_error_not_a_put(self, tmp_path, compiled):
+        *_, key, result = compiled
+        faults = ScriptedDiskFaults()
+        faults.arm(fail_writes=1)
+        with CachePeerThread(cache=CompileCache(tmp_path, faults=faults)) as peer:
+            with RemoteCache(*peer.address) as remote:
+                assert not remote.put(key, codec.encode(result))
+                snap = remote.stats()
+                assert snap["puts"] == 0
+                assert snap["errors"] == 1
+                assert remote.breaker_trips == 0  # the peer is healthy
+                assert remote.put(key, codec.encode(result))  # budget spent
+                assert remote.stats()["puts"] == 1
+        assert faults.write_faults == 1
+
     def test_oversized_frame_is_counted_and_never_sent(
         self, tmp_path, compiled, monkeypatch
     ):
@@ -256,10 +271,7 @@ class TestRemoteCounters:
         """Bytes whose digest holds but which decode to nothing are missed."""
         circuit, config, key, result = compiled
         body = zlib.compress(b"\x02\x00\x00\x00{}")
-        junk = (
-            codec.MAGIC + bytes([codec.FORMAT])
-            + payload_checksum(body).encode() + body
-        )
+        junk = codec.MAGIC + payload_checksum(body).encode() + body
         peer_cache = CompileCache(tmp_path / "peer")
         peer_cache.put(key, junk)
         with CachePeerThread(cache=peer_cache) as peer:

@@ -47,8 +47,7 @@ def _with_ops(result, ops):
 
 def _blob(body: bytes) -> bytes:
     """An encoded result around ``body`` whose digest holds."""
-    prefix = codec.MAGIC + bytes([codec.FORMAT])
-    return prefix + codec.payload_checksum(body).encode() + body
+    return codec.MAGIC + codec.payload_checksum(body).encode() + body
 
 
 class TestRoundTrip:
@@ -117,12 +116,10 @@ class TestRejects:
         with pytest.raises(codec.CodecError):
             codec.split(codec.encode(result)[:20])
 
-    def test_wrong_magic_or_format(self, result):
+    def test_wrong_magic(self, result):
         blob = codec.encode(result)
         with pytest.raises(codec.CodecError):
             codec.decode(b"XXXX" + blob[4:])
-        with pytest.raises(codec.CodecError):
-            codec.decode(blob[:4] + bytes([codec.FORMAT + 1]) + blob[5:])
 
     def test_truncated_body(self, result):
         blob = codec.encode(result)
