@@ -10,7 +10,10 @@ job, and asserts the contract the service exists for:
   fingerprint**, and the key equals what ``repro.sweep.job_key`` computes
   locally for the same job;
 * a fresh server on the same cache directory serves the job from **disk**
-  without compiling at all.
+  without compiling at all;
+* hostile angles (an exponent tower, an overflowing literal) are answered
+  ``bad-circuit`` within :data:`HOSTILE_BUDGET_S` seconds, and the same
+  server still serves a warm request afterwards.
 
 Run from the repo root::
 
@@ -21,14 +24,19 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import time
 
 from repro.compiler.config import CompilerConfig
-from repro.service import Client, ServiceThread
+from repro.service import Client, ServiceError, ServiceThread, protocol
 from repro.sweep import CompileCache, job_key
 from repro.workloads import load_benchmark
 
 WORKLOAD = "ising_2d_2x2"
 ROUTING_PATHS = 3
+
+#: angles that must be refused by the parser, not evaluated
+HOSTILE_ANGLES = ("9**9**9", "1e999")
+HOSTILE_BUDGET_S = 2.0
 
 
 def check(condition: bool, message: str) -> None:
@@ -77,6 +85,23 @@ def main() -> int:
             "zero compilations after restart",
         )
         check(disk.fingerprint == cold.fingerprint, "fingerprint stable across restart")
+
+        with Client(*service.address) as client:
+            for angle in HOSTILE_ANGLES:
+                source = f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
+                started = time.perf_counter()
+                try:
+                    client.compile(qasm_source=source)
+                    code = None
+                except ServiceError as exc:
+                    code = exc.code
+                elapsed = time.perf_counter() - started
+                check(
+                    code == protocol.E_BAD_CIRCUIT and elapsed < HOSTILE_BUDGET_S,
+                    f"rz({angle}) answered {code} in {elapsed:.3f}s",
+                )
+            after = client.compile(workload=WORKLOAD, routing_paths=ROUTING_PATHS)
+        check(after.warm, f"warm request served after hostile angles (source={after.source})")
 
     print("[service-smoke] OK")
     return 0

@@ -62,7 +62,8 @@ class Circuit:
 
     def append(self, gate: Gate) -> "Circuit":
         """Append a gate, validating qubit indices against the register."""
-        if any(q >= self.num_qubits for q in gate.qubits):
+        qubits = gate.qubits
+        if qubits and max(qubits) >= self.num_qubits:
             raise GateError(
                 f"gate {gate} addresses qubit outside register of size "
                 f"{self.num_qubits}"

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 #: Angle comparisons treat values closer than this as equal.  Chosen loose
 #: enough to absorb float noise from pi arithmetic, tight enough to separate
@@ -94,6 +95,13 @@ ALL_NAMES = (
 _SINGLE_QUBIT = CLIFFORD_1Q | T_LIKE | PARAMETRIC | {MEASURE, MOVE}
 _TWO_QUBIT = CLIFFORD_2Q | {MZZ, MXX}
 
+#: Qubit count per gate name; 0 for ``barrier``, which spans any number.
+_ARITY: Dict[str, int] = {
+    **{name: 1 for name in _SINGLE_QUBIT},
+    **{name: 2 for name in _TWO_QUBIT},
+    BARRIER: 0,
+}
+
 
 class GateError(ValueError):
     """Raised for malformed gate construction."""
@@ -117,21 +125,25 @@ class Gate:
     label: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.name not in ALL_NAMES:
-            raise GateError(f"unknown gate name {self.name!r}")
-        if self.name in PARAMETRIC and self.param is None:
-            raise GateError(f"gate {self.name!r} requires an angle parameter")
-        if self.name not in PARAMETRIC and self.param is not None:
-            raise GateError(f"gate {self.name!r} takes no parameter")
-        arity = self.num_qubits
-        if len(self.qubits) != arity:
+        name, qubits, param = self.name, self.qubits, self.param
+        arity = _ARITY.get(name)
+        if arity is None:
+            raise GateError(f"unknown gate name {name!r}")
+        if param is None:
+            if name in PARAMETRIC:
+                raise GateError(f"gate {name!r} requires an angle parameter")
+        elif name not in PARAMETRIC:
+            raise GateError(f"gate {name!r} takes no parameter")
+        elif not math.isfinite(param):
+            raise GateError(f"gate {name!r} needs a finite angle, got {param!r}")
+        count = len(qubits)
+        if arity and count != arity:
             raise GateError(
-                f"gate {self.name!r} acts on {arity} qubit(s), "
-                f"got {len(self.qubits)}"
+                f"gate {name!r} acts on {arity} qubit(s), got {count}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"gate {self.name!r} has duplicate qubits {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if count > 1 and len(set(qubits)) != count:
+            raise GateError(f"gate {name!r} has duplicate qubits {qubits}")
+        if count and min(qubits) < 0:
             raise GateError("qubit indices must be non-negative")
 
     # -- classification ----------------------------------------------------
@@ -139,11 +151,7 @@ class Gate:
     @property
     def num_qubits(self) -> int:
         """Arity implied by the gate name."""
-        if self.name == BARRIER:
-            return len(self.qubits)
-        if self.name in _TWO_QUBIT:
-            return 2
-        return 1
+        return _ARITY[self.name] or len(self.qubits)
 
     @property
     def is_clifford(self) -> bool:
@@ -180,10 +188,10 @@ class Gate:
         """Return the inverse gate."""
         inverses = {S: SDG, SDG: S, T: TDG, TDG: T, SX: SXDG, SXDG: SX}
         if self.name in inverses:
-            return Gate(inverses[self.name], self.qubits)
+            return interned(inverses[self.name], self.qubits)
         if self.name in PARAMETRIC:
             assert self.param is not None
-            return Gate(self.name, self.qubits, param=-self.param)
+            return interned(self.name, self.qubits, -self.param)
         if self.name in (H, X, Y, Z, CX, CZ, SWAP, BARRIER):
             return self
         raise GateError(f"gate {self.name!r} has no defined inverse")
@@ -192,10 +200,57 @@ class Gate:
         """Return the same gate remapped onto ``qubits``."""
         return Gate(self.name, tuple(qubits), param=self.param, label=self.label)
 
+    @cached_property
+    def canonical_line(self) -> str:
+        """This gate's line of the canonical gate stream, computed once.
+
+        ``name|q0,q1|repr(param)`` plus a newline: the bytes
+        :func:`repro.sweep.jobs.circuit_fingerprint` hashes, and so part
+        of every job key.  ``repr`` keeps the angle bit-exact.
+        """
+        qubits = ",".join(map(str, self.qubits))
+        param = "" if self.param is None else repr(self.param)
+        return f"{self.name}|{qubits}|{param}\n"
+
     def __str__(self) -> str:
         if self.param is not None:
             return f"{self.name}({self.param:.6g}) {list(self.qubits)}"
         return f"{self.name} {list(self.qubits)}"
+
+
+# -- interning ---------------------------------------------------------------
+
+#: Most distinct gates the intern table holds.  The benchmark suite has
+#: about 1,400; past the cap (fresh random angles, say) gates are built
+#: and validated as usual but not remembered, so the table's memory is
+#: bounded for the life of a long-running server.
+INTERN_CAP = 1 << 14
+
+_INTERNED: Dict[tuple, Gate] = {}
+
+
+def interned(name: str, qubits: Tuple[int, ...], param: Optional[float] = None) -> Gate:
+    """``Gate(name, qubits, param)``, shared with every earlier equal build.
+
+    Gates are immutable, so one validated instance serves every repeat.
+    The key holds each field's type as well as its value, and a number's
+    sign: ``0.0 == -0.0`` and ``1 == 1.0 == True``, but a shared gate must
+    be ``repr``-identical to a direct construction.  Invalid gates raise
+    :class:`GateError` exactly as the constructor does and are not stored.
+    Two threads missing on the same key both build the gate; either copy
+    is correct, so the table needs no lock.
+    """
+    if param is None:
+        key = (name, qubits, *map(type, qubits))
+    else:
+        key = (name, qubits, *map(type, qubits), param, type(param),
+               math.copysign(1.0, param))
+    gate = _INTERNED.get(key)
+    if gate is None:
+        gate = Gate(name, qubits, param)
+        if len(_INTERNED) < INTERN_CAP:
+            _INTERNED[key] = gate
+    return gate
 
 
 # -- constructors ----------------------------------------------------------
@@ -203,79 +258,79 @@ class Gate:
 
 def h(q: int) -> Gate:
     """Hadamard gate."""
-    return Gate(H, (q,))
+    return interned(H, (q,))
 
 
 def s(q: int) -> Gate:
     """Phase gate S = diag(1, i)."""
-    return Gate(S, (q,))
+    return interned(S, (q,))
 
 
 def sdg(q: int) -> Gate:
     """Inverse phase gate."""
-    return Gate(SDG, (q,))
+    return interned(SDG, (q,))
 
 
 def x(q: int) -> Gate:
     """Pauli X."""
-    return Gate(X, (q,))
+    return interned(X, (q,))
 
 
 def y(q: int) -> Gate:
     """Pauli Y."""
-    return Gate(Y, (q,))
+    return interned(Y, (q,))
 
 
 def z(q: int) -> Gate:
     """Pauli Z."""
-    return Gate(Z, (q,))
+    return interned(Z, (q,))
 
 
 def sx(q: int) -> Gate:
     """Square root of X."""
-    return Gate(SX, (q,))
+    return interned(SX, (q,))
 
 
 def t(q: int) -> Gate:
     """T gate (pi/8 rotation); consumes one magic state."""
-    return Gate(T, (q,))
+    return interned(T, (q,))
 
 
 def tdg(q: int) -> Gate:
     """Inverse T gate."""
-    return Gate(TDG, (q,))
+    return interned(TDG, (q,))
 
 
 def rz(theta: float, q: int) -> Gate:
     """Z rotation by ``theta`` radians."""
-    return Gate(RZ, (q,), param=float(theta))
+    return interned(RZ, (q,), float(theta))
 
 
 def rx(theta: float, q: int) -> Gate:
     """X rotation by ``theta`` radians."""
-    return Gate(RX, (q,), param=float(theta))
+    return interned(RX, (q,), float(theta))
 
 
 def cx(control: int, target: int) -> Gate:
     """Controlled-NOT."""
-    return Gate(CX, (control, target))
+    return interned(CX, (control, target))
 
 
 def cz(a: int, b: int) -> Gate:
     """Controlled-Z."""
-    return Gate(CZ, (a, b))
+    return interned(CZ, (a, b))
 
 
 def swap(a: int, b: int) -> Gate:
     """SWAP two qubits."""
-    return Gate(SWAP, (a, b))
+    return interned(SWAP, (a, b))
 
 
 def measure(q: int) -> Gate:
     """Computational-basis measurement."""
-    return Gate(MEASURE, (q,))
+    return interned(MEASURE, (q,))
 
 
 def barrier(*qubits: int) -> Gate:
     """Scheduling barrier across ``qubits`` (the whole register when empty)."""
-    return Gate(BARRIER, tuple(qubits))
+    return interned(BARRIER, qubits)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import List
 
 from . import gates as g
 from .circuit import Circuit
@@ -43,18 +42,24 @@ _SUPPORTED = {
     "rz": g.RZ, "rx": g.RX, "cx": g.CX, "cz": g.CZ, "swap": g.SWAP,
 }
 
-_PARAM_TOKEN_RE = re.compile(r"^[\d\s\.\+\-\*/()eE]|pi")
-
 
 def _eval_angle(text: str) -> float:
-    """Evaluate a restricted ``pi`` arithmetic expression."""
+    """Evaluate a restricted ``pi`` arithmetic expression to a finite float.
+
+    ``**`` is refused before evaluation: an exponent tower such as
+    ``9**9**9`` would keep ``eval`` busy for minutes.  None of the other
+    operators can make a number much longer than the expression itself.
+    """
     cleaned = text.strip().replace("pi", repr(math.pi))
-    if not re.fullmatch(r"[\d\s\.\+\-\*/()eE]+", cleaned):
+    if "**" in cleaned or not re.fullmatch(r"[\d\s\.\+\-\*/()eE]+", cleaned):
         raise QasmError(f"unsupported angle expression {text!r}")
     try:
-        return float(eval(cleaned, {"__builtins__": {}}, {}))  # noqa: S307
+        value = float(eval(cleaned, {"__builtins__": {}}, {}))  # noqa: S307
     except Exception as exc:  # pragma: no cover - defensive
         raise QasmError(f"cannot evaluate angle {text!r}") from exc
+    if not math.isfinite(value):
+        raise QasmError(f"angle {text!r} is not finite")
+    return value
 
 
 def _format_angle(theta: float) -> str:
@@ -130,7 +135,12 @@ def loads(text: str, name: str = "qasm") -> Circuit:
         statement = statement.strip()
         if not statement:
             continue
-        _parse_statement(statement + ";", circuit)
+        try:
+            _parse_statement(statement + ";", circuit)
+        except g.GateError as exc:
+            # a well-formed statement naming an invalid gate (duplicate or
+            # out-of-register qubits, an angle on h) is still bad input
+            raise QasmError(str(exc)) from exc
     return circuit
 
 
@@ -169,12 +179,8 @@ def _parse_statement(statement: str, circuit: Circuit) -> None:
         raise QasmError(f"unsupported gate {mnemonic!r}")
     qubits = [int(m.group("idx")) for m in _ARG_RE.finditer(match.group("args"))]
     param_text = match.group("param")
-    if param_text is not None:
-        circuit.append(
-            g.Gate(_SUPPORTED[mnemonic], tuple(qubits), param=_eval_angle(param_text))
-        )
-    else:
-        circuit.append(g.Gate(_SUPPORTED[mnemonic], tuple(qubits)))
+    param = None if param_text is None else _eval_angle(param_text)
+    circuit.append(g.interned(_SUPPORTED[mnemonic], tuple(qubits), param))
 
 
 def load_file(path: str) -> Circuit:

@@ -64,14 +64,16 @@ def compiler_revision() -> str:
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
-    """SHA-256 over the canonical gate stream (name, qubits, params)."""
-    digest = hashlib.sha256()
-    digest.update(f"{circuit.name}|{circuit.num_qubits}\n".encode())
-    for gate in circuit:
-        qubits = ",".join(map(str, gate.qubits))
-        param = "" if gate.param is None else repr(gate.param)
-        digest.update(f"{gate.name}|{qubits}|{param}\n".encode())
-    return digest.hexdigest()
+    """SHA-256 over the canonical gate stream (name, qubits, params).
+
+    One header line, then each gate's
+    :attr:`~repro.ir.gates.Gate.canonical_line`: a gate formats its line
+    once, and interned gates are shared, so a stream of repeated gates
+    costs one attribute read per gate.
+    """
+    stream = [f"{circuit.name}|{circuit.num_qubits}\n"]
+    stream.extend(gate.canonical_line for gate in circuit)
+    return hashlib.sha256("".join(stream).encode()).hexdigest()
 
 
 def config_fingerprint(config: CompilerConfig) -> str:

@@ -96,13 +96,15 @@ def rz_to_clifford_t(theta: float, qubit: int) -> List[Gate]:
     """
     theta = normalize_angle(theta)
     if is_multiple_of(theta, math.pi / 2):
-        return [Gate(name, (qubit,)) for name in clifford_rz_replacement(theta)]
+        return [g.interned(name, (qubit,)) for name in clifford_rz_replacement(theta)]
     if not is_multiple_of(theta, math.pi / 4):
         raise ValueError(f"angle {theta} is not an exact Clifford+T rotation")
     eighth_turns = int(round(theta / (math.pi / 4))) % 8  # odd here
     # rz(k*pi/4) = rz((k-1)*pi/4) . T  with (k-1) even
     clifford_part = clifford_rz_replacement((eighth_turns - 1) * math.pi / 4)
-    return [Gate(g.T, (qubit,))] + [Gate(name, (qubit,)) for name in clifford_part]
+    return [g.interned(g.T, (qubit,))] + [
+        g.interned(name, (qubit,)) for name in clifford_part
+    ]
 
 
 def decompose_rotations(circuit: Circuit, model: SynthesisModel) -> Circuit:
@@ -128,7 +130,7 @@ def decompose_rotations(circuit: Circuit, model: SynthesisModel) -> Circuit:
         if is_multiple_of(theta, math.pi / 4):
             lowered.extend(rz_to_clifford_t(theta, qubit))
         else:
-            cost = model.t_cost(Gate(g.RZ, (qubit,), param=theta))
+            cost = model.t_cost(g.interned(g.RZ, (qubit,), theta))
             for i in range(cost):
                 lowered.t(qubit)
                 if i + 1 < cost:

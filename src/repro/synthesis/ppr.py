@@ -142,11 +142,11 @@ def _clifford_sequence(gate: Gate) -> List[Gate]:
     if names is None:
         # rx = H rz H
         return (
-            [Gate(g.H, (qubit,))]
-            + [Gate(n, (qubit,)) for n in z_names]
-            + [Gate(g.H, (qubit,))]
+            [g.interned(g.H, (qubit,))]
+            + [g.interned(n, (qubit,)) for n in z_names]
+            + [g.interned(g.H, (qubit,))]
         )
-    return [Gate(n, (qubit,)) for n in names]
+    return [g.interned(n, (qubit,)) for n in names]
 
 
 def transpile_to_ppr(circuit: Circuit, measure_all: bool = True) -> PprProgram:

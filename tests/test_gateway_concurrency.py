@@ -332,6 +332,16 @@ class TestHttpAbuse:
         assert err.value.status == 404
         assert err.value.code == "not-found"
 
+    @pytest.mark.parametrize("angle", ["9**9**9", "1e999"])
+    def test_hostile_angle_is_400_before_dispatch(self, gateway, angle):
+        source = f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
+        started = time.perf_counter()
+        with GatewayClient(*gateway.address) as client:
+            with pytest.raises(GatewayError) as err:
+                client.submit(qasm_source=source)
+        assert time.perf_counter() - started < 2.0
+        assert (err.value.status, err.value.code) == (400, "bad-circuit")
+
     def test_gateway_survives_the_abuse(self, gateway):
         with GatewayClient(*gateway.address) as client:
             assert client.ping()["ok"]

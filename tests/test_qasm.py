@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,31 @@ class TestLoads:
     def test_evil_angle_rejected(self):
         with pytest.raises(QasmError):
             qasm.loads("OPENQASM 2.0; qreg q[1]; rz(__import__) q[0];")
+
+    @pytest.mark.parametrize("angle", ["9**9**8", "9**9**9", "2 ** 3", "pi**2"])
+    def test_exponent_rejected_before_evaluation(self, angle):
+        started = time.perf_counter()
+        with pytest.raises(QasmError, match="unsupported angle expression"):
+            qasm.loads(f"OPENQASM 2.0; qreg q[1]; rz({angle}) q[0];")
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e999-1e999"])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(QasmError, match="is not finite"):
+            qasm.loads(f"OPENQASM 2.0; qreg q[1]; rx({angle}) q[0];")
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("cx q[0],q[0];", "gate 'cx' has duplicate qubits (0, 0)"),
+            ("h q[5];", "gate h [5] addresses qubit outside register of size 2"),
+            ("h(pi) q[0];", "gate 'h' takes no parameter"),
+        ],
+    )
+    def test_invalid_gate_is_a_qasm_error(self, statement, message):
+        with pytest.raises(QasmError) as err:
+            qasm.loads(f"OPENQASM 2.0; qreg q[2]; {statement}")
+        assert str(err.value) == message
 
     def test_comments_stripped(self):
         text = "OPENQASM 2.0; // header\nqreg q[1];\nh q[0]; // gate\n"

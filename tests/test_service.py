@@ -76,6 +76,16 @@ class TestProtocol:
             protocol.parse_compile_request({"op": "compile", "qasm": "not qasm"})
         assert err.value.code == protocol.E_BAD_CIRCUIT
 
+    @pytest.mark.parametrize(
+        "statement",
+        ["rz(9**9**9) q[0];", "rz(1e999) q[0];", "rx(1e999-1e999) q[1];", "cx q[1],q[1];"],
+    )
+    def test_parse_compile_hostile_qasm_is_bad_circuit(self, statement):
+        source = f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\n{statement}\n"
+        with pytest.raises(protocol.ProtocolError) as err:
+            protocol.parse_compile_request({"op": "compile", "qasm": source})
+        assert err.value.code == protocol.E_BAD_CIRCUIT
+
     def test_parse_compile_qasm_source(self):
         source = 'OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n'
         circuit, config, full = protocol.parse_compile_request(

@@ -8,6 +8,7 @@ import pytest
 
 from repro.compiler.config import CompilerConfig
 from repro.experiments import ALL_EXPERIMENTS, EXPERIMENT_JOBS, collect_jobs, fig9
+from repro.ir import qasm
 from repro.ir.circuit import Circuit
 from repro.sweep import (
     CompileCache,
@@ -19,7 +20,30 @@ from repro.sweep import (
     plan_jobs,
     use_engine,
 )
-from repro.workloads import ising_2d, load_benchmark
+from repro.workloads import benchmark_names, ising_2d, load_benchmark
+
+
+#: ``circuit_fingerprint`` of every registered workload.
+STREAM_DIGESTS = {
+    "ising_2d_2x2": "9b1e478243ff0f89673b94dc35f6c47936100f621870ec8a24b88e44abf1cccc",
+    "heisenberg_2d_2x2": "1934b04f584ff3bb5b65280871b8cc273f581c55bc52ccbaac1f7492d7b21171",
+    "fermi_hubbard_2d_2x2": "1af1d2ecd6e30db9c83349172a0821eeeb34224127c69c40d6f573d4b8fb57b4",
+    "ising_2d_4x4": "1c29abfd552f7998f69e754edc9171e8fc5af2d4f8bdede6b0ee687962a1c07f",
+    "heisenberg_2d_4x4": "cf1b9e64054ffe6b206821b1db5b17498fa060e13a084a6369b7cee35774d3c6",
+    "fermi_hubbard_2d_4x4": "b0e70486c638514eefc40ac3c3bec4f0ab89f920f75f0478cb0d0194272679aa",
+    "ising_2d_6x6": "ddb2859e2482e96e489286bcca62062dadb9fcd9ebaaa769c5fd0cca38e37d40",
+    "heisenberg_2d_6x6": "0ac864f8a9083d6fb7ce549ad53868aa77b599728689af3be24bb61696e19520",
+    "fermi_hubbard_2d_6x6": "e2dc1bfd52f2b42acb59e1d37c918d215a8d3a734b6e44a02473f0dcf6f3e36f",
+    "ising_2d_8x8": "03b1d3f1907723462284d1550d109b6a37e6dafd07ead1ad6a1352149b884566",
+    "heisenberg_2d_8x8": "0c180c8240ca0b44a7f0def3688da16b877e72bc0939e4776e67ee7eb3d00b6a",
+    "fermi_hubbard_2d_8x8": "a72b06f99274e3962a3f7196ee3a63dba864465fde6e00ea792848c6c839337a",
+    "ising_2d_10x10": "b475eab8ca726442cb4a0960568ceb75e7d0595c766163aabe1e3abbfe156a80",
+    "heisenberg_2d_10x10": "21a28bad625137d319881f55303ab8c0e254b4c9dc061de323cbf00120202462",
+    "fermi_hubbard_2d_10x10": "77bacd9e651b800eaff98d2fb37445e88df1eaae34491e00a964f7c5c5f22279",
+    "ghz_n255": "1bf26697e88c16121bfe7ca6d54093c95f2316deefe80ce13eb4131121b6c92e",
+    "adder_n28": "bc6c85fbf35ef5c892348766ac3dd7a91a98c98710a502d31b97f137cb54ef43",
+    "multiplier_n15": "ada03ddc25baf59db25e2c2c84a215b1a93ed4aa3680397a4a976e5aed252247",
+}
 
 
 def small_circuit(name="c"):
@@ -79,6 +103,24 @@ class TestJobIdentity:
             load_benchmark("ising_2d_10x10"),
             CompilerConfig(routing_paths=4, num_factories=2),
         ) == "fb8a56b50cd586eb067953e4c02e85394a600eafcbb841016d5d5b21d58267fe"
+        # signed zero and pi arithmetic, as parsed from QASM text
+        source = (
+            "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nrz(-0.0) q[0];\n"
+            "rz(3*pi/4) q[1];\ncx q[0],q[1];\nrz(0) q[1];\n"
+        )
+        assert job_key(qasm.loads(source), CompilerConfig()) == (
+            "8a8712a1bd90bce852e7f522a54513ac7ebd41634571e17d3ff02bd35052eb7c"
+        )
+
+    def test_pinned_stream_digests(self):
+        """The canonical gate stream of every registered workload: a drift
+        in a generator, in gate interning or in the stream format moves a
+        digest, and with it every key of that workload."""
+        digests = {
+            name: circuit_fingerprint(load_benchmark(name))
+            for name in benchmark_names()
+        }
+        assert digests == STREAM_DIGESTS
 
 
 class TestPlanner:
