@@ -13,7 +13,10 @@ job, and asserts the contract the service exists for:
   without compiling at all;
 * hostile angles (an exponent tower, an overflowing literal) are answered
   ``bad-circuit`` within :data:`HOSTILE_BUDGET_S` seconds, and the same
-  server still serves a warm request afterwards.
+  server still serves a warm request afterwards;
+* a request line over ``protocol.MAX_LINE_BYTES`` is answered
+  ``bad-request`` and counted in ``stats()["too_large"]``, and a fresh
+  client still gets a warm hit from the same server.
 
 Run from the repo root::
 
@@ -22,6 +25,8 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import json
+import socket
 import sys
 import tempfile
 import time
@@ -102,6 +107,19 @@ def main() -> int:
                 )
             after = client.compile(workload=WORKLOAD, routing_paths=ROUTING_PATHS)
         check(after.warm, f"warm request served after hostile angles (source={after.source})")
+
+        with socket.create_connection(service.address, timeout=60) as sock:
+            sock.sendall(b"x" * (protocol.MAX_LINE_BYTES + 1) + b"\n")
+            reply = json.loads(sock.makefile("rb").readline())
+        check(
+            reply["error"]["code"] == protocol.E_BAD_REQUEST,
+            f"over-long request line answered {reply['error']['code']}",
+        )
+        with Client(*service.address) as client:
+            too_large = client.stats()["too_large"]
+            fresh = client.compile(workload=WORKLOAD, routing_paths=ROUTING_PATHS)
+        check(too_large == 1, f"over-long line counted (too_large={too_large})")
+        check(fresh.warm, f"fresh client served warm after it (source={fresh.source})")
 
     print("[service-smoke] OK")
     return 0

@@ -44,8 +44,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..service import protocol
-from ..service.client import RetryPolicy
 from ..service.endpoint import Endpoint, EndpointThread
+from ..service.transport import RetryPolicy
 from ..sweep.jobs import job_key
 from .auth import ANONYMOUS_TENANT, Keyring, TokenBucket
 from .http11 import (
@@ -411,11 +411,12 @@ class Gateway(Endpoint):
             try:
                 response = await self.router.dispatch(key, dict(record.request))
             except NoShardsError as exc:
-                self.store.fail(
-                    key, {"code": E_NO_SHARDS, "message": str(exc)}
+                response = protocol.error_response(E_NO_SHARDS, str(exc))
+            except Exception as exc:  # noqa: BLE001 — no job is left non-terminal
+                # e.g. a shard reply over MAX_LINE_BYTES (the shard stays up)
+                response = protocol.error_response(
+                    protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
                 )
-                counters.failed += 1
-                return
             if response.get("ok"):
                 payload = {
                     name: value

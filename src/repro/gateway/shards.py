@@ -8,12 +8,14 @@ backend broker's coalescing keeps working across tenants, and when a
 backend dies the router degrades to fewer shards (the same keys remap
 deterministically onto the survivors) instead of failing requests.
 
-Failure handling reuses the PR 6 client machinery: a
-:class:`~repro.service.client.RetryPolicy` paces redispatch with
-exponential backoff + full jitter, connection failures mark the shard
-down immediately, and a background health loop pings downed shards and
-re-admits them once they answer again.  ``force_down`` is the chaos /
-test seam — it marks a shard dead *and severs its in-flight
+Failure handling shares :mod:`repro.service.transport`: its
+:class:`RetryPolicy` paces redispatch (exponential backoff + full
+jitter), and its reply reader decides what a transport failure is — a
+reset, EOF, a torn or undecodable reply.  One marks the shard down at
+once and the job remaps; a reply over ``MAX_LINE_BYTES`` fails the job
+and leaves the shard up.  A background health loop pings downed shards
+and re-admits them once they answer again.  ``force_down`` is the chaos
+/ test seam — it marks a shard dead *and severs its in-flight
 connections*, which is what a SIGKILLed backend looks like from here.
 """
 
@@ -21,12 +23,11 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..service import protocol
-from ..service.client import RetryPolicy
+from ..service.transport import RetryPolicy, error_code, read_reply
 
 
 class NoShardsError(RuntimeError):
@@ -125,7 +126,8 @@ class ShardRouter:
         remapped owner after a jittered backoff; retryable error codes
         (``overloaded`` / ``timeout``) back off on the same shard.
         Raises :class:`NoShardsError` once every shard is down or the
-        attempt budget is spent on connection failures.
+        attempt budget is spent on connection failures, and the
+        ``ValueError`` of a reply over ``MAX_LINE_BYTES`` as it is.
         """
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retry.attempts):
@@ -136,16 +138,15 @@ class ShardRouter:
                 ) from last_exc
             try:
                 response = await self._exchange(shard, message)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+            except (OSError, asyncio.TimeoutError) as exc:
                 self._mark_down(shard)
                 self.remaps += 1
                 last_exc = exc
             else:
                 shard.dispatched += 1
                 if not response.get("ok"):
-                    code = (response.get("error") or {}).get("code", "")
                     if (
-                        self.retry.retries_error(code)
+                        self.retry.retries_error(error_code(response))
                         and attempt + 1 < self.retry.attempts
                     ):
                         await self._sleep(self.retry.delay(attempt, self._rng))
@@ -173,14 +174,13 @@ class ShardRouter:
                 raise ConnectionError(f"shard {shard.index} is down")
             writer.write(protocol.encode_line(message))
             await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.request_timeout
-            )
-            if not line:
-                raise ConnectionError(
-                    f"shard {shard.index} closed the connection"
+            try:
+                line = await asyncio.wait_for(
+                    reader.readline(), timeout=self.request_timeout
                 )
-            return protocol.decode_line(line)
+            except ValueError:  # asyncio's limit overrun: the shard is fine
+                raise ValueError(f"shard {shard.index} reply too long") from None
+            return read_reply(line, f"shard {shard.index}")
         finally:
             shard.writers.discard(writer)
             writer.close()
@@ -211,7 +211,7 @@ class ShardRouter:
         """One liveness probe against ``shard`` (never raises)."""
         try:
             response = await self._exchange(shard, {"op": "ping"})
-        except (ConnectionError, OSError, asyncio.TimeoutError):
+        except (OSError, asyncio.TimeoutError, ValueError):
             return False
         return bool(response.get("ok"))
 

@@ -17,6 +17,10 @@ the same engine into a long-lived multi-client endpoint (``repro serve``):
   TCP server owning one persistent :class:`~repro.sweep.SweepEngine`
   (worker pool + disk cache), plus :class:`ServiceThread` for running a
   real server in-process (tests, the chaos harness, smoke scripts);
+* :mod:`~repro.service.transport` — the one JSON-lines transport: the
+  client :class:`~repro.service.transport.Connection` and its retry
+  loop, the reply reader, and the request loop the service and the cache
+  peer share;
 * :mod:`~repro.service.client` — :class:`Client`, the synchronous
   request/response client scripts and tests talk through;
 * :mod:`~repro.service.cache_peer` — :class:`CachePeer`, the

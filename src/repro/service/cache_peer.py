@@ -1,12 +1,15 @@
 """The cache peer behind ``repro cache-serve``.
 
 A :class:`CachePeer` is the **remote tier's server half**: a small
-asyncio TCP endpoint speaking the same newline-delimited JSON protocol
-as the compile service, backed by one :class:`~repro.sweep.CompileCache`
-directory.  It never compiles anything — it only moves verified encoded
-results (:mod:`repro.compiler.codec`) by SHA-256 job key, so a fleet of
-engines can warm each other.  It never decodes them either: a hit is
-served as the entry file's bytes.
+asyncio TCP endpoint backed by one :class:`~repro.sweep.CompileCache`
+directory.  It serves the compile service's newline-delimited JSON
+protocol through the same request loop
+(:class:`~repro.service.transport.LineEndpoint`) and adds only its two
+ops, its stats fields and the chaos actions below.  It never compiles
+anything — it only moves verified encoded results
+(:mod:`repro.compiler.codec`) by SHA-256 job key, so a fleet of engines
+can warm each other.  It never decodes them either: a hit is served as
+the entry file's bytes.
 
 Ops:
 
@@ -23,7 +26,8 @@ Ops:
     ``stored`` says whether the peer's own disk write succeeded.
 ``stats`` / ``ping`` / ``shutdown``
     As on the compile service (``shutdown`` honoured unless started
-    with ``allow_shutdown=False``).
+    with ``allow_shutdown=False``); ``stats`` counts ``requests``,
+    ``rejected_puts`` and over-long request lines (``too_large``).
 
 The peer does **not** replay-validate payloads: validation needs the
 circuit, which never crosses this wire.  That defense lives in the
@@ -42,15 +46,15 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from .. import __version__
 from ..compiler import codec
 from ..sweep import CompileCache
 from ..sweep.cache import payload_checksum
 from . import protocol
-from .endpoint import Endpoint, EndpointThread
+from .endpoint import EndpointThread
 from .remote_cache import DEFAULT_CACHE_PORT
+from .transport import LineEndpoint
 
 #: 64 hex chars — the only key shape the peer will address storage with.
 _KEY_LEN = 64
@@ -64,7 +68,11 @@ def _valid_key(key: Any) -> bool:
     )
 
 
-class CachePeer(Endpoint):
+class _TornReply(dict):
+    """A ``cache-get`` reply the chaos hook wants cut off mid-frame."""
+
+
+class CachePeer(LineEndpoint):
     """A get/put-by-key cache server over one ``CompileCache`` directory.
 
     Args:
@@ -77,7 +85,7 @@ class CachePeer(Endpoint):
     """
 
     kind = "cache peer"
-    stream_limit = protocol.MAX_LINE_BYTES
+    ops = {"cache-get": "_handle_get", "cache-put": "_handle_put"}
 
     def __init__(
         self,
@@ -87,99 +95,32 @@ class CachePeer(Endpoint):
         allow_shutdown: bool = True,
         faults=None,
     ) -> None:
-        super().__init__(host, port)
+        super().__init__(host, port, allow_shutdown)
         self.cache = cache if cache is not None else CompileCache()
-        self.allow_shutdown = allow_shutdown
         self.faults = faults
         self.requests = 0
         self.rejected_puts = 0
 
-    # -- connection handling ------------------------------------------------
+    # -- the request loop's hooks ------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    line = await self._while_idle(reader.readline)
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        protocol.encode_line(
-                            protocol.error_response(
-                                protocol.E_BAD_REQUEST, "request line too long"
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:  # client EOF, or the peer is stopping
-                    break
-                self.requests += 1
-                response, action = await self._dispatch(line)
-                data = protocol.encode_line(response)
-                if action == "reset":
-                    # chaos: half a frame, then a hard RST mid-response
-                    writer.write(data[: max(1, len(data) // 2)])
-                    with contextlib.suppress(Exception):
-                        await writer.drain()
-                    writer.transport.abort()
-                    return
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+    async def _dispatch(self, line: bytes) -> Dict[str, Any]:
+        self.requests += 1
+        return await super()._dispatch(line)
 
-    async def _dispatch(
-        self, line: bytes
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
-        """Resolve one request to ``(response, chaos_action)``."""
-        loop = asyncio.get_running_loop()
-        try:
-            message = protocol.decode_line(line)
-            op = str(message.get("op", "?"))
-            if op == "cache-get":
-                return await loop.run_in_executor(
-                    None, self._handle_get, message
-                )
-            if op == "cache-put":
-                return (
-                    await loop.run_in_executor(None, self._handle_put, message),
-                    None,
-                )
-            if op == "stats":
-                return self._handle_stats(), None
-            if op == "ping":
-                return (
-                    {
-                        "ok": True,
-                        "op": "ping",
-                        "version": __version__,
-                        "protocol": protocol.PROTOCOL_VERSION,
-                    },
-                    None,
-                )
-            if op == "shutdown" and self.allow_shutdown:
-                self.request_stop()
-                return {"ok": True, "op": "shutdown"}, None
-            raise protocol.ProtocolError(
-                protocol.E_BAD_REQUEST, f"unknown op {op!r}"
-            )
-        except protocol.ProtocolError as exc:
-            return protocol.error_response(exc.code, str(exc)), None
-        except Exception as exc:  # noqa: BLE001 — a request must never kill the peer
-            return (
-                protocol.error_response(
-                    protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
-                ),
-                None,
-            )
+    async def _send(self, writer: asyncio.StreamWriter, reply: dict) -> bool:
+        if not isinstance(reply, _TornReply):
+            return await super()._send(writer, reply)
+        # chaos: half a frame, then a hard RST mid-response
+        data = protocol.encode_line(reply)
+        writer.write(data[: max(1, len(data) // 2)])
+        with contextlib.suppress(Exception):
+            await writer.drain()
+        writer.transport.abort()
+        return False
 
     # -- op handlers (run on the executor — they touch disk) ----------------
 
-    def _handle_get(
-        self, message: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
+    def _handle_get(self, message: Dict[str, Any]) -> Dict[str, Any]:
         key = message.get("key")
         if not _valid_key(key):
             raise protocol.ProtocolError(
@@ -188,24 +129,23 @@ class CachePeer(Endpoint):
         action = self.faults.on_get(key) if self.faults is not None else None
         blob = self.cache.get(key)
         if blob is None:
-            return {"ok": True, "op": "cache-get", "found": False}, action
-        if action == "corrupt":
-            # chaos: serve a torn entry — one flipped body byte, so the
-            # digest the entry carries no longer matches and the client
-            # must reject it
-            torn = bytearray(blob)
-            torn[-1] ^= 0xFF
-            blob = bytes(torn)
-        return (
-            {
+            reply = {"ok": True, "op": "cache-get", "found": False}
+        else:
+            if action == "corrupt":
+                # chaos: serve a torn entry — one flipped body byte, so the
+                # digest the entry carries no longer matches and the client
+                # must reject it
+                torn = bytearray(blob)
+                torn[-1] ^= 0xFF
+                blob = bytes(torn)
+            reply = {
                 "ok": True,
                 "op": "cache-get",
                 "found": True,
                 "key": key,
                 "blob": base64.b64encode(blob).decode("ascii"),
-            },
-            action,
-        )
+            }
+        return _TornReply(reply) if action == "reset" else reply
 
     def _handle_put(self, message: Dict[str, Any]) -> Dict[str, Any]:
         key = message.get("key")
@@ -227,19 +167,13 @@ class CachePeer(Endpoint):
         stored = self.cache.put(key, blob)
         return {"ok": True, "op": "cache-put", "stored": stored, "key": key}
 
-    def _handle_stats(self) -> Dict[str, Any]:
+    def _stats(self) -> Dict[str, Any]:
         return {
-            "ok": True,
-            "op": "stats",
-            "version": __version__,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "stats": {
-                "dir": str(self.cache.root),
-                "requests": self.requests,
-                "rejected_puts": self.rejected_puts,
-                "entries": len(self.cache),
-                **self.cache.stats(),
-            },
+            "dir": str(self.cache.root),
+            "requests": self.requests,
+            "rejected_puts": self.rejected_puts,
+            "entries": len(self.cache),
+            **self.cache.stats(),
         }
 
 

@@ -1,8 +1,8 @@
 """Synchronous client for the compile service.
 
-:class:`Client` speaks the JSON-lines protocol over one TCP connection,
-strict request/response.  It is what scripts, tests and the chaos
-harness use::
+:class:`Client` speaks the JSON-lines protocol over one
+:class:`~repro.service.transport.Connection`, strict request/response.
+It is what scripts, tests and the chaos harness use::
 
     from repro.service import Client
 
@@ -14,19 +14,20 @@ Failures the server reports (unknown workload, overload shed, replay
 validation rejection, ...) raise :class:`ServiceError` carrying the
 machine-readable ``code`` from :data:`repro.service.protocol.ERROR_CODES`
 and any structured ``details`` (a full validation report dict for
-``validation-failed``).
+``validation-failed``).  A transport failure (a hang-up, a torn or
+unreadable reply, a timeout) raises an :class:`OSError`.
 """
 
 from __future__ import annotations
 
 import random
-import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..compiler.result import CompilationResult
 from . import protocol
+from .transport import Connection, RetryPolicy
 
 
 class ServiceError(RuntimeError):
@@ -78,38 +79,6 @@ class CompileReply:
         return self.source in ("memo", "disk", "remote")
 
 
-@dataclass
-class RetryPolicy:
-    """Exponential backoff with full jitter for transient service failures.
-
-    The delay before attempt *k* (0-based retry index) is drawn uniformly
-    from ``[0, min(max_delay, base_delay * 2**k)]`` — "full jitter", which
-    decorrelates a thundering herd of retrying clients instead of having
-    them all hammer the server again on the same beat.
-
-    Retried failures: connection errors (server restarting, connection
-    reset mid-frame — the client reconnects first) and the structured
-    error codes in ``codes`` (``overloaded`` and ``timeout`` by default).
-    Resubmission is **idempotent by construction**: a compile request is
-    content-addressed by its job key and results are deterministic and
-    replay-validated, so re-sending the same request can only hit the
-    cache or recompile to identical bytes — never double-apply anything.
-    """
-
-    attempts: int = 4  # total tries (1 initial + attempts-1 retries)
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    codes: Tuple[str, ...] = protocol.RETRYABLE_CODES
-
-    def delay(self, retry_index: int, rng: random.Random) -> float:
-        """The jittered sleep before the ``retry_index``-th retry."""
-        ceiling = min(self.max_delay, self.base_delay * (2.0**retry_index))
-        return rng.uniform(0.0, ceiling)
-
-    def retries_error(self, code: str) -> bool:
-        return code in self.codes
-
-
 class Client:
     """Blocking JSON-lines client, one request at a time.
 
@@ -136,58 +105,18 @@ class Client:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
-        self.reconnects = 0
-        self.retried = 0
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
-        self._connect()
+        self._conn = Connection(host, port, timeout, retry, sleep, rng)
+        self._conn.connect()
 
-    # -- transport ----------------------------------------------------------
+    @property
+    def reconnects(self) -> int:
+        """Connections opened after the first (each follows a failure)."""
+        return self._conn.connects - 1
 
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._reader = self._sock.makefile("rb")
-
-    def _drop_connection(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """One send/receive on the live connection (reconnecting first)."""
-        if self._sock is None:
-            self._connect()
-            self.reconnects += 1
-        self._sock.sendall(protocol.encode_line(message))
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionError("compile service closed the connection")
-        response = protocol.decode_line(line)
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServiceError(
-                error.get("code", protocol.E_INTERNAL),
-                error.get("message", "unknown service error"),
-                error.get("details"),
-            )
-        return response
+    @property
+    def retried(self) -> int:
+        """Retries slept before, across every :meth:`request`."""
+        return self._conn.retried
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Send one message, return the raw response dict.
@@ -199,30 +128,18 @@ class Client:
         jittered backoff; the last failure is re-raised once the attempt
         budget is spent.
         """
-        policy = self.retry
-        attempts = policy.attempts if policy is not None else 1
-        for attempt in range(attempts):
-            try:
-                return self._exchange(message)
-            except ServiceError as exc:
-                if (
-                    policy is None
-                    or attempt + 1 >= attempts
-                    or not policy.retries_error(exc.code)
-                ):
-                    raise
-            except (ConnectionError, socket.timeout, OSError):
-                # the connection is in an unknown state — rebuild it on
-                # the next attempt rather than reading a stale frame
-                self._drop_connection()
-                if policy is None or attempt + 1 >= attempts:
-                    raise
-            self.retried += 1
-            self._sleep(policy.delay(attempt, self._rng))
-        raise AssertionError("unreachable")  # pragma: no cover
+        response = self._conn.request(protocol.encode_line(message))
+        if not response.get("ok"):
+            error = response.get("error") or {}
+            raise ServiceError(
+                error.get("code", protocol.E_INTERNAL),
+                error.get("message", "unknown service error"),
+                error.get("details"),
+            )
+        return response
 
     def close(self) -> None:
-        self._drop_connection()
+        self._conn.close()
 
     def __enter__(self) -> "Client":
         return self

@@ -3,8 +3,10 @@
 :class:`~repro.service.server.CompileService`,
 :class:`~repro.service.cache_peer.CachePeer` and
 :class:`~repro.gateway.server.Gateway` subclass :class:`Endpoint` and
-keep only their request loop and two hooks.  :class:`EndpointThread`
-runs one on a background thread with its own event loop, and
+keep only their request loop (the service and the peer share
+:class:`~repro.service.transport.LineEndpoint`'s) and two hooks.
+:class:`EndpointThread` runs one on a background thread with its own
+event loop, and
 :func:`serve_forever` is the blocking body of ``repro serve``,
 ``repro cache-serve`` and ``repro gateway``.
 """
@@ -35,8 +37,8 @@ class Endpoint:
 
     #: how errors name the endpoint ("<kind> is not started").
     kind = "endpoint"
-    #: StreamReader buffer limit; None keeps asyncio's default.
-    stream_limit: Optional[int] = None
+    #: StreamReader buffer limit (asyncio's default).
+    stream_limit = 2**16
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
@@ -59,9 +61,8 @@ class Endpoint:
         if self._server is not None:
             return
         self._stopping = asyncio.Event()
-        limit = {} if self.stream_limit is None else {"limit": self.stream_limit}
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port, **limit
+            self._serve_connection, self.host, self.port, limit=self.stream_limit
         )
         self._on_start()
 

@@ -1,15 +1,18 @@
 """The remote cache tier: a line-protocol client of ``repro cache-serve``.
 
 :class:`RemoteCache` implements the :class:`~repro.sweep.tiers.CacheBackend`
-contract over one TCP connection to a :mod:`~repro.service.cache_peer`
-(newline-delimited JSON, the compile service's line protocol).  It is
-the tier that lets a fleet of engines share one content-addressed store:
-``get``/``put`` by SHA-256 job key, nothing else.
+contract over one :class:`~repro.service.transport.Connection` (the
+transport :class:`~repro.service.client.Client` uses too) to a
+:mod:`~repro.service.cache_peer`.  It is the tier that lets a fleet of
+engines share one content-addressed store: ``get``/``put`` by SHA-256
+job key, nothing else.  The tier adds the breaker, the size check and
+its counters; connecting, retrying and what counts as a transport
+failure belong to the connection.
 
 Design rules, in order of importance:
 
 * **A remote failure is a miss, never an error.**  Connection refused,
-  reset mid-frame, a timeout, a garbage reply — every failure path
+  reset mid-frame, a timeout, a torn or garbage reply — every failure path
   counts an ``error`` and returns None (gets) or drops the write (puts).
   A sweep with a dead peer completes with fingerprints identical to a
   sweep with no peer at all.
@@ -28,7 +31,7 @@ Design rules, in order of importance:
   locally, counted in ``too_large`` (and ``errors``), instead of being
   sent only for the peer to refuse it as an over-long line.
 * **Outages are cheap.**  Transient failures retry on the shared
-  :class:`~repro.service.client.RetryPolicy` (small budget, jittered
+  :class:`~repro.service.transport.RetryPolicy` (small budget, jittered
   backoff); repeated failures trip a circuit breaker that skips the
   peer entirely for ``breaker_cooldown`` seconds (counted in
   ``skipped``), so a dead peer costs one connect timeout per cooldown,
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import base64
 import random
-import socket
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -48,7 +50,7 @@ from ..compiler import codec
 from ..sweep.cache import payload_checksum
 from ..sweep.tiers import CacheBackend
 from . import protocol
-from .client import RetryPolicy
+from .transport import Connection, RetryPolicy
 
 #: default TCP port of ``repro cache-serve`` (one above the compile service).
 DEFAULT_CACHE_PORT = 7788
@@ -98,58 +100,23 @@ class RemoteCache(CacheBackend):
         super().__init__()
         self.host = host
         self.port = port
-        self.timeout = timeout
-        self.retry = retry if retry is not None else DEFAULT_RETRY
         self.breaker_threshold = max(1, int(breaker_threshold))
         self.breaker_cooldown = breaker_cooldown
         self.corrupt = 0  # frames/entries rejected by the checksum check
         self.too_large = 0  # requests over the frame limit, never sent
         self.skipped = 0  # requests the open breaker never sent
         self.breaker_trips = 0
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self._clock = clock
         self._failures = 0
         self._resume_at = 0.0
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
+        retry = retry if retry is not None else DEFAULT_RETRY
+        self._conn = Connection(host, port, timeout, retry, sleep, rng)
         # one in-flight request at a time on the shared connection
         self._io = threading.Lock()
 
-    # -- transport ----------------------------------------------------------
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._reader = self._sock.makefile("rb")
-
-    def _drop_connection(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
     def close(self) -> None:
         with self._io:
-            self._drop_connection()
-
-    def _exchange(self, frame: bytes) -> Dict[str, Any]:
-        if self._sock is None:
-            self._connect()
-        self._sock.sendall(frame)
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionError("cache peer closed the connection")
-        return protocol.decode_line(line)
+            self._conn.close()
 
     # -- breaker ------------------------------------------------------------
 
@@ -176,32 +143,17 @@ class RemoteCache(CacheBackend):
             if self._breaker_open():
                 self.skipped += 1
                 return None
-            for attempt in range(self.retry.attempts):
-                try:
-                    reply = self._exchange(frame)
-                except (OSError, protocol.ProtocolError, ValueError):
-                    # the connection is in an unknown state — rebuild it
-                    self._drop_connection()
-                    if attempt + 1 < self.retry.attempts:
-                        self._sleep(self.retry.delay(attempt, self._rng))
-                    continue
-                if reply.get("ok"):
-                    self._failures = 0
-                    return reply
-                error = reply.get("error") or {}
-                code = error.get("code", "")
-                if (
-                    self.retry.retries_error(code)
-                    and attempt + 1 < self.retry.attempts
-                ):
-                    self._sleep(self.retry.delay(attempt, self._rng))
-                    continue
-                # a structured rejection (e.g. bad-request on a put) is a
-                # healthy peer saying no — don't punish it via the breaker
-                self._failures = 0
+            try:
+                reply = self._conn.request(frame)
+            except OSError:
+                self._note_failure()
                 self.errors += 1
                 return None
-            self._note_failure()
+            # a structured rejection (e.g. bad-request on a put) is a
+            # healthy peer saying no — don't punish it via the breaker
+            self._failures = 0
+            if reply.get("ok"):
+                return reply
             self.errors += 1
             return None
 

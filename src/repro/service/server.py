@@ -3,9 +3,12 @@
 :class:`CompileService` owns one persistent
 :class:`~repro.sweep.SweepEngine` (long-lived worker pool + optional
 on-disk cache) and serves the JSON-lines protocol of
-:mod:`repro.service.protocol` over TCP.  Connection handlers are strict
-request/response: read a line, dispatch, write a line.  All compile
-resolution — coalescing, warm-cache hits, backpressure — lives in the
+:mod:`repro.service.protocol` over TCP.  The request loop, ``ping``,
+``stats``, ``shutdown`` and the error mapping are the shared
+:class:`~repro.service.transport.LineEndpoint`'s; the service adds its
+``compile`` op, the disconnect probe, per-op metrics, the ``id`` echo and
+off-loop encoding of full replies.  All compile resolution — coalescing,
+warm-cache hits, backpressure — lives in the
 :class:`~repro.service.batcher.CompileBroker`.
 
 Shutdown is graceful: ``stop()`` (or SIGINT/SIGTERM under ``repro
@@ -25,13 +28,13 @@ import contextlib
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from .. import __version__
-from ..sweep import CompileCache, JobCrashed, JobFailure, JobTimeout, SweepEngine
+from ..sweep import CompileCache, JobFailure, JobTimeout, SweepEngine
 from ..verify import ValidationError
 from . import protocol
 from .batcher import CompileBroker, OverloadedError
-from .endpoint import Endpoint, EndpointThread
+from .endpoint import EndpointThread
 from .protocol import DEFAULT_PORT
+from .transport import LineEndpoint
 
 #: default bound on distinct in-flight compilations (per broker).
 DEFAULT_MAX_PENDING = 32
@@ -47,7 +50,7 @@ DEFAULT_JOB_ATTEMPTS = 3
 _KNOWN_OPS = ("compile", "stats", "ping", "shutdown")
 
 
-class CompileService(Endpoint):
+class CompileService(LineEndpoint):
     """A compile-as-a-service front-end over the sweep engine.
 
     Args:
@@ -81,7 +84,7 @@ class CompileService(Endpoint):
     """
 
     kind = "service"
-    stream_limit = protocol.MAX_LINE_BYTES
+    ops = {"compile": "_compile"}
 
     def __init__(
         self,
@@ -99,9 +102,8 @@ class CompileService(Endpoint):
         job_attempts: int = DEFAULT_JOB_ATTEMPTS,
         worker_faults=None,
     ) -> None:
-        super().__init__(host, port)
+        super().__init__(host, port, allow_shutdown)
         self.validate = validate
-        self.allow_shutdown = allow_shutdown
         self.request_timeout = request_timeout
         self.engine = SweepEngine(
             jobs=jobs,
@@ -129,43 +131,9 @@ class CompileService(Endpoint):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.broker.metrics.connections += 1
-        leftover = b""  # byte the disconnect probe read ahead (pipelining)
-        try:
-            while True:
-                try:
-                    line = await self._while_idle(reader.readline)
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        protocol.encode_line(
-                            protocol.error_response(
-                                protocol.E_BAD_REQUEST, "request line too long"
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:  # client EOF, or the service is stopping
-                    break
-                if leftover:
-                    line = leftover + line
-                    leftover = b""
-                response, leftover = await self._dispatch_watched(line, reader)
-                if response is None:  # client vanished mid-request
-                    break
-                if "result" in response:
-                    # full-result payloads can be megabytes of JSON;
-                    # encode off the loop like the parse path
-                    data = await asyncio.get_running_loop().run_in_executor(
-                        None, protocol.encode_line, response
-                    )
-                else:
-                    data = protocol.encode_line(response)
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await super()._handle_connection(reader, writer)
 
-    async def _dispatch_watched(
+    async def _answer(
         self, line: bytes, reader: asyncio.StreamReader
     ) -> Tuple[Optional[Dict[str, Any]], bytes]:
         """Dispatch one request racing the client's disappearance.
@@ -174,12 +142,9 @@ class CompileService(Endpoint):
         request/response) connection doubles as a disconnect probe: EOF
         while the request is in flight cooperatively cancels the dispatch,
         so its compile slot, queue entry and coalesced-waiter registration
-        are released instead of grinding for a client that is gone.
-
-        Returns ``(response, leftover)``; response None means the client
-        vanished and the connection should be closed.  ``leftover`` is a
-        byte the probe read from an eager (pipelining) client, which the
-        caller must prepend to the next request line.
+        are released instead of grinding for a client that is gone.  A
+        byte the probe read from an eager (pipelining) client is returned
+        as read ahead, for the loop to prepend to the next request line.
         """
         dispatch = asyncio.ensure_future(self._dispatch(line))
         probe = asyncio.ensure_future(reader.read(1))
@@ -189,21 +154,14 @@ class CompileService(Endpoint):
         if dispatch.done():
             # response ready: retire the probe without losing a byte
             # (cancelling a StreamReader read never consumes buffer data)
-            if not probe.done():
-                probe.cancel()
+            probe.cancel()
+            ahead = b""
             with contextlib.suppress(asyncio.CancelledError, Exception):
-                await probe
-            leftover = b""
-            if (
-                probe.done()
-                and not probe.cancelled()
-                and probe.exception() is None
-            ):
-                leftover = probe.result()
-            return await dispatch, leftover
+                ahead = await probe
+            return await dispatch, ahead
         try:
             data = probe.result()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except OSError:
             data = b""
         if data:
             # an eager client sent its next frame early — not a
@@ -216,85 +174,58 @@ class CompileService(Endpoint):
             await dispatch
         return None, b""
 
-    async def _dispatch(self, line: bytes) -> Dict[str, Any]:
-        start = time.perf_counter()
-        op = "?"
-        error_code: Optional[str] = None
-        message: Optional[Dict[str, Any]] = None
+    async def _compile(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``compile`` op: its budget, and its failures as error codes."""
+        budget = self._request_budget(message)
         try:
-            message = protocol.decode_line(line)
-            op = str(message.get("op", "?"))
-            if op == "compile":
-                budget = self._request_budget(message)
-                if budget is None:
-                    response = await self._handle_compile(message, start)
-                else:
-                    response = await asyncio.wait_for(
-                        self._handle_compile(message, start), timeout=budget
-                    )
-            elif op == "stats":
-                response = self._handle_stats()
-            elif op == "ping":
-                response = {
-                    "ok": True,
-                    "op": "ping",
-                    "version": __version__,
-                    "protocol": protocol.PROTOCOL_VERSION,
-                }
-            elif op == "shutdown" and self.allow_shutdown:
-                response = {"ok": True, "op": "shutdown"}
-                self.request_stop()
-            else:
-                raise protocol.ProtocolError(
-                    protocol.E_BAD_REQUEST, f"unknown op {op!r}"
-                )
-        except protocol.ProtocolError as exc:
-            error_code = exc.code
-            response = protocol.error_response(exc.code, str(exc))
+            return await asyncio.wait_for(self._handle_compile(message), budget)
         except OverloadedError as exc:
-            error_code = protocol.E_OVERLOADED
-            response = protocol.error_response(protocol.E_OVERLOADED, str(exc))
+            return protocol.error_response(protocol.E_OVERLOADED, str(exc))
         except JobTimeout as exc:
             # the worker pool killed a wedged compile on every attempt
-            error_code = protocol.E_TIMEOUT
             self.broker.metrics.timeouts += 1
-            response = protocol.error_response(
+            return protocol.error_response(
                 protocol.E_TIMEOUT, str(exc), details={"attempts": exc.attempts}
             )
         except JobFailure as exc:  # JobCrashed and future siblings
-            error_code = protocol.E_COMPILE_FAILED
             self.broker.metrics.compile_failures += 1
-            response = protocol.error_response(
+            return protocol.error_response(
                 protocol.E_COMPILE_FAILED,
                 str(exc),
                 details={"attempts": exc.attempts, "cause": exc.code},
             )
         except asyncio.TimeoutError:
             # the end-to-end request budget expired (admission to response)
-            error_code = protocol.E_TIMEOUT
             self.broker.metrics.timeouts += 1
-            response = protocol.error_response(
+            return protocol.error_response(
                 protocol.E_TIMEOUT, "request exceeded its time budget"
             )
         except ValidationError as exc:
-            error_code = protocol.E_VALIDATION
             self.broker.metrics.validation_failures += 1
-            response = protocol.error_response(
+            return protocol.error_response(
                 protocol.E_VALIDATION,
                 exc.report.summary(),
                 details=exc.report.to_dict(),
             )
-        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-            error_code = protocol.E_INTERNAL
-            response = protocol.error_response(
-                protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        wall = time.perf_counter() - start
+
+    def _on_reply(
+        self, op: str, message: Optional[dict], reply: dict, wall: float
+    ) -> Dict[str, Any]:
+        code = None if reply.get("ok") else reply["error"]["code"]
         metric_op = op if op in _KNOWN_OPS else "?"
-        self.broker.metrics.endpoint(metric_op).record(wall, error_code)
+        self.broker.metrics.endpoint(metric_op).record(wall, code)
         if message is not None and "id" in message:
-            response = {**response, "id": message["id"]}
-        return response
+            reply = {**reply, "id": message["id"]}
+        return reply
+
+    async def _encode(self, reply: Dict[str, Any]) -> bytes:
+        if "result" not in reply:
+            return protocol.encode_line(reply)
+        # full-result payloads can be megabytes of JSON; encode off the
+        # loop like the parse path
+        return await asyncio.get_running_loop().run_in_executor(
+            None, protocol.encode_line, reply
+        )
 
     def _request_budget(self, message: Dict[str, Any]) -> Optional[float]:
         """Effective end-to-end budget for one compile request.
@@ -320,9 +251,8 @@ class CompileService(Endpoint):
             return client
         return min(client, self.request_timeout)
 
-    async def _handle_compile(
-        self, message: Dict[str, Any], start: float
-    ) -> Dict[str, Any]:
+    async def _handle_compile(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        start = time.perf_counter()
         # parsing can mean megabytes of QASM — keep it off the event loop
         loop = asyncio.get_running_loop()
         circuit, config, full = await loop.run_in_executor(
@@ -338,7 +268,7 @@ class CompileService(Endpoint):
             )
         return protocol.compile_response(result, key, source, wall)
 
-    def _handle_stats(self) -> Dict[str, Any]:
+    def _stats(self) -> Dict[str, Any]:
         stats = self.broker.metrics.snapshot()
         stats["engine"] = self.engine.counters.as_dict()
         stats["pending"] = self.broker.pending
@@ -355,13 +285,7 @@ class CompileService(Endpoint):
         else:
             stats["cache"] = None
         stats["cache_tiers"] = self.engine.tier_stats()
-        return {
-            "ok": True,
-            "op": "stats",
-            "version": __version__,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "stats": stats,
-        }
+        return stats
 
 
 class ServiceThread(EndpointThread):

@@ -31,7 +31,9 @@ class ScriptedServer:
 
     Each playbook entry handles one connection:
       ("replies", [frame, ...]) — answer that many requests, then close;
-      ("close", n) — read n requests, then hang up without answering.
+      ("close", n) — read n requests, then hang up without answering;
+      ("torn", frame) — answer one request with half of ``frame``, then
+      hang up (a reply torn mid-line).
     Once the playbook is exhausted every request gets ``ok`` replies.
     """
 
@@ -52,6 +54,10 @@ class ScriptedServer:
                         if not step[1]:
                             return
                         self.wfile.write(protocol.encode_line(step[1].pop(0)))
+                    elif step[0] == "torn":
+                        data = protocol.encode_line(step[1])
+                        self.wfile.write(data[: len(data) // 2])
+                        return
                     elif step[0] == "close":
                         step = (step[0], step[1] - 1)
                         if step[1] < 0:
@@ -188,6 +194,30 @@ class TestReconnect:
             assert response["ok"]
             assert client.reconnects == 1
             assert client.retried == 1
+        finally:
+            server.stop()
+
+    def test_torn_reply_is_retried_on_a_new_connection(self, fake_sleep):
+        server = ScriptedServer([
+            ("torn", ok_frame()),  # half a reply line, then hang up
+            ("replies", [ok_frame()]),
+        ])
+        try:
+            with scripted_client(server, fake_sleep, attempts=3) as client:
+                response = client.request({"op": "ping"})
+            assert response["ok"]
+            assert client.reconnects == 1
+            assert client.retried == 1
+        finally:
+            server.stop()
+
+    def test_torn_reply_without_policy_is_a_connection_error(self):
+        # a transport failure, not a bad-request blamed on the client
+        server = ScriptedServer([("torn", ok_frame())])
+        try:
+            with Client(*server.address, timeout=10.0) as client:
+                with pytest.raises(ConnectionError):
+                    client.request({"op": "ping"})
         finally:
             server.stop()
 

@@ -17,6 +17,7 @@ Four properties from the production story, each pinned end-to-end:
 
 import json
 import socket
+import socketserver
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.gateway import GatewayClient, GatewayCluster, GatewayError, GatewayThread, Keyring
 from repro.service import Client as ServiceClient
+from repro.service import protocol
 from repro.service.client import RetryPolicy
 from repro.sweep import job_key
 from repro.workloads import load_benchmark
@@ -251,6 +253,75 @@ class TestShardDeath:
             payload = client.compile(workload=WORKLOAD, timeout=30, **overrides)
         assert payload["status"] == "done"
         assert payload["id"] == failed["id"]
+
+
+class BrokenBackend:
+    """A fake shard that answers ``ping`` but breaks every ``compile`` reply.
+
+    ``torn``: half a reply line, then a hang-up.  ``long``: a line over
+    ``MAX_LINE_BYTES`` (the shard itself is healthy).
+    """
+
+    def __init__(self, mode):
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                for line in self.rfile:
+                    if json.loads(line).get("op") == "ping":
+                        self.wfile.write(protocol.encode_line({"ok": True}))
+                        continue
+                    reply = protocol.encode_line({"ok": True, "op": "compile"})
+                    try:
+                        if mode == "torn":
+                            self.wfile.write(reply[: len(reply) // 2])
+                        else:
+                            self.wfile.write(b"x" * (protocol.MAX_LINE_BYTES + 1))
+                    except OSError:
+                        pass
+                    return
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+
+    def stop(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class TestBrokenShardReply:
+    """A broken shard reply ends the job ``failed`` with a named code,
+    never leaves it ``dispatched``."""
+
+    def run_job(self, mode):
+        backend = BrokenBackend(mode)
+        try:
+            with GatewayThread(
+                backends=[backend.server.server_address],
+                retry=FAST_RETRY,
+                health_interval=0.05,
+            ) as thread:
+                with GatewayClient(*thread.address) as client:
+                    payload = client.compile(workload=WORKLOAD, timeout=10)
+                    stats = client.stats()
+        finally:
+            backend.stop()
+        return payload, stats
+
+    def test_torn_reply_marks_the_shard_down(self):
+        payload, stats = self.run_job("torn")
+        assert payload["status"] == "failed"
+        assert payload["error"]["code"] == "no-shards"
+        assert stats["shards"][0]["failures"] >= 1
+        assert stats["gateway"]["tenants"]["anonymous"]["failed"] == 1
+
+    def test_over_long_reply_fails_the_job_and_keeps_the_shard(self):
+        payload, stats = self.run_job("long")
+        assert payload["status"] == "failed"
+        assert payload["error"]["code"] == protocol.E_INTERNAL
+        assert "reply too long" in payload["error"]["message"]
+        assert stats["shards"][0]["healthy"]
+        assert stats["shards"][0]["failures"] == 0
+        assert stats["gateway"]["tenants"]["anonymous"]["failed"] == 1
 
 
 class TestHttpAbuse:

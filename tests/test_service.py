@@ -296,11 +296,6 @@ def service(tmp_path_factory):
 
 
 class TestServiceEndToEnd:
-    def test_ping(self, service):
-        with Client(*service.address) as client:
-            reply = client.ping()
-        assert reply["ok"] and reply["protocol"] == protocol.PROTOCOL_VERSION
-
     def test_round_trip_matches_direct_compilation(self, service):
         circuit, config = tiny_circuit(), tiny_config()
         direct = FaultTolerantCompiler(config).compile(circuit)
@@ -373,8 +368,8 @@ class TestServiceEndToEnd:
                 client.request({"op": "frobnicate"})
             assert err.value.code == protocol.E_BAD_REQUEST
             # raw garbage on the wire still yields a structured response
-            client._sock.sendall(b"this is not json\n")
-            line = client._reader.readline()
+            client._conn.sock.sendall(b"this is not json\n")
+            line = client._conn.reader.readline()
             stats = client.stats()
         response = json.loads(line)
         assert response["ok"] is False
