@@ -31,6 +31,10 @@ metric's ``bound``:
     anything else: the interval is narrower than the bound and stays
     inside it on the bad side.
 
+The number of pairs is fixed before a run and never extended until an
+interval closes: adding pairs after an ``unresolved`` verdict biases the
+verdict toward ``within noise``, so report that verdict as it stands.
+
 A failed run (exit status, ``correct: false`` or ``failed > 0``) is
 reported and its pair is dropped.
 """
@@ -178,16 +182,21 @@ def compare(
     return rows
 
 
-def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def build_parser(spec: dict) -> argparse.ArgumentParser:
+    """The command line over the workloads of ``spec`` (``BENCHMARK.json``)."""
     workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the A side: any git revision")
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="workload to compare (repeatable; default all)")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=30)
     parser.add_argument("--seconds", type=float, default=float(spec.get("run_seconds", 15)))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = build_parser(spec).parse_args(argv)
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-ab-"))
     try:
@@ -196,7 +205,7 @@ def main(argv=None) -> int:
               f"seed {SEED}, {args.seconds:g} s per run")
         print(f"{'workload':<15} {'metric':<17} {'n':>3} {'B/A':>7} "
               f"{'95% CI':>17} {'B wins':>6}  verdict (bound)")
-        for workload in args.workload or workloads:
+        for workload in args.workload or [w["name"] for w in spec["workloads"]]:
             rows = compare(a_tree, ROOT, workload, spec["end_to_end"],
                            args.pairs, args.seconds)
             bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}

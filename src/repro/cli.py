@@ -112,17 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "default-row fingerprint drift, any quality "
                                  "regression, or no shared row)")
     bench_perf.add_argument("--validate", action="store_true",
-                            help="replay-validate every row's schedule "
-                                 "outside the timed region")
-    bench_perf.add_argument("--profile", action="store_true",
-                            help="run one instrumented compile per default "
-                                 "row after the timed one and attach the "
-                                 "per-phase breakdown as meta.phases")
-    bench_perf.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
-                            default=None,
-                            help="gate report B against report A (same "
-                                 "rules as --baseline, plus per-phase "
-                                 "speedups) instead of running")
+                            help="replay-validate every row's schedule")
 
     serve_cmd = sub.add_parser(
         "serve", help="run the TCP compile service (JSON lines, see repro.service)"
@@ -358,7 +348,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _load_report(path: str, what: str):
+def _load_baseline(path: str):
     """A report dict from ``path``, or None after printing why not."""
     import json
 
@@ -366,46 +356,16 @@ def _load_report(path: str, what: str):
         with open(path) as handle:
             report = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {what} {path}: {exc}")
+        print(f"error: cannot read baseline {path}: {exc}")
         return None
     if not isinstance(report, dict):
-        print(f"error: {what} {path} is not a JSON object")
+        print(f"error: baseline {path} is not a JSON object")
         return None
     return report
 
 
-def _gate(baseline: dict, current: dict, against: str) -> int:
-    """Print the comparison of two reports; 1 when the gate fails."""
-    from .perf import compare_reports
-
-    lines, errors = compare_reports(baseline, current)
-    for line in lines:
-        print(line)
-    for line in errors:
-        print(f"error: {line}")
-    if errors:
-        print(f"error: gate failed vs {against}")
-        return 1
-    return 0
-
-
 def _cmd_bench(args) -> int:
-    from .perf import bench_cases, run_bench
-    from .perf.bench import compare_phases, phases_table
-
-    if args.compare:
-        path_a, path_b = args.compare
-        base = _load_report(path_a, "report")
-        cur = _load_report(path_b, "report")
-        if base is None or cur is None:
-            return 2
-        code = _gate(base, cur, path_a)
-        phase_lines = compare_phases(base.get("meta", {}), cur.get("meta", {}))
-        if phase_lines:
-            print()
-            for line in phase_lines:
-                print(line)
-        return code
+    from .perf import bench_cases, compare_reports, run_bench
 
     if not bench_cases(args.fast, args.workloads):
         known = sorted({c.workload for c in bench_cases(args.fast)})
@@ -415,7 +375,7 @@ def _cmd_bench(args) -> int:
     baseline = None
     if args.baseline:
         # read before the run so --output may overwrite the baseline file
-        baseline = _load_report(args.baseline, "baseline")
+        baseline = _load_baseline(args.baseline)
         if baseline is None:
             return 2
     try:
@@ -425,7 +385,6 @@ def _cmd_bench(args) -> int:
             progress=print,
             jobs=args.jobs,
             validate=args.validate,
-            profile=args.profile,
         )
     except ValidationError as exc:
         print(exc.report.summary())
@@ -433,9 +392,6 @@ def _cmd_bench(args) -> int:
         return 1
     print()
     print(report.to_text())
-    if args.profile:
-        print()
-        print(phases_table(report.meta.get("phases", {})))
     if args.validate:
         rows = sum(len(per_strategy) for per_strategy in report.cases.values())
         print(f"[verify] {rows} schedule(s) replay-validated, 0 violations")
@@ -446,7 +402,15 @@ def _cmd_bench(args) -> int:
     if baseline is None:
         return 0
     print()
-    return _gate(baseline, report.as_dict(), args.baseline)
+    lines, errors = compare_reports(baseline, report.as_dict())
+    for line in lines:
+        print(line)
+    for line in errors:
+        print(f"error: {line}")
+    if errors:
+        print(f"error: gate failed vs {args.baseline}")
+        return 1
+    return 0
 
 
 def _cmd_serve(args) -> int:

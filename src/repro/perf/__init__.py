@@ -5,9 +5,11 @@
   fingerprint of the ``default`` rows and on one-sided schedule quality
   of every row — ``BENCH.json``;
 * :mod:`~repro.perf.profiler` is the per-phase attribution layer the
-  compile pipeline carries (``repro bench --profile``).
+  compile pipeline carries; ``perfbench/`` reads it in its traced pass.
 
-Per-layer timing (cache tiers, service, gateway) lives in ``perfbench/``.
+``repro bench`` times nothing.  Timing (compile passes, cache tiers,
+service, gateway) lives in ``perfbench/``, and ``scripts/ab.py`` compares
+it between two revisions.
 
 Exports resolve lazily (PEP 562): the profiler's seams live inside the
 hot compile modules (routing, scheduling, verify), so importing

@@ -19,10 +19,10 @@ Usage::
 
     with profiler.capture() as prof:
         compiler.compile(circuit)
-    print(prof.table())
+    print(prof.as_dict())
 
-or through the CLI: ``repro bench --profile`` attaches the breakdown to
-``BENCH.json`` under ``meta.phases``.
+``perfbench/`` captures one profile per traced pass and folds them
+together with :meth:`PhaseProfiler.merge`.
 
 The profiler is process-local and not thread-safe by design — compile
 work fans out across *processes* (the sweep engine, the service pool),
@@ -114,22 +114,6 @@ class PhaseProfiler:
             stats.self_wall += theirs.self_wall
             stats.calls += theirs.calls
 
-    def table(self) -> str:
-        """Human-readable breakdown, widest phases first."""
-        rows = self.as_dict()
-        if not rows:
-            return "(no phases recorded)"
-        width = max(len(name) for name in rows)
-        lines = [
-            f"{'phase'.ljust(width)}  {'wall_s':>9}  {'self_s':>9}  {'calls':>9}"
-        ]
-        for name, stats in rows.items():
-            lines.append(
-                f"{name.ljust(width)}  {stats['wall']:>9.4f}  "
-                f"{stats['self']:>9.4f}  {stats['calls']:>9}"
-            )
-        return "\n".join(lines)
-
 
 @contextmanager
 def capture():
@@ -143,11 +127,6 @@ def capture():
         yield prof
     finally:
         _ACTIVE = None
-
-
-def active() -> Optional[PhaseProfiler]:
-    """The installed profiler, or None."""
-    return _ACTIVE
 
 
 class _PhaseSeam:

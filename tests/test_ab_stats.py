@@ -6,6 +6,7 @@ minutes and stays a manual step.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,8 @@ def test_wins_count_pairs_b_beat_a_and_not_ties():
     ratios = [0.5, 0.9, 1.0, 1.2]
     assert ab.wins(ratios, "lower") == 2
     assert ab.wins(ratios, "higher") == 1
+
+
+def test_thirty_pairs_by_default():
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    assert ab.build_parser(spec).parse_args(["HEAD"]).pairs == 30

@@ -69,8 +69,11 @@ class ScriptedServer:
 
         self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self.server.daemon_threads = True
+        # a short poll: shutdown() in stop() waits out one poll interval
         self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
         )
         self.thread.start()
 
