@@ -91,6 +91,12 @@ class TestRunBench:
             assert key in text
         assert "balanced" in text
 
+    def test_no_row_or_text_carries_a_timing(self, fast):
+        for per_strategy in fast.cases.values():
+            for row in per_strategy.values():
+                assert not any("wall" in key for key in row)
+        assert "wall" not in fast.to_text()
+
 
 class TestGate:
     def test_identical_reports_pass(self, small):
@@ -169,6 +175,32 @@ class TestGateThatComparesNothing:
         lines, errors = compare_reports(baseline, small)
         assert errors == ["baseline shares no (case, strategy) row with this run"]
         assert any("not exercised" in line for line in lines)
+
+
+class TestBaselineWithWalls:
+    """A baseline written while the harness still timed rows still gates."""
+
+    @staticmethod
+    def _timed(report):
+        baseline = copy.deepcopy(report)
+        baseline["meta"]["host"] = {"cpu": "x", "cpus": 1000, "python": "3"}
+        baseline["total_wall"] = 0.1
+        for per_strategy in baseline["cases"].values():
+            for row in per_strategy.values():
+                row["wall"] = 0.01
+        return baseline
+
+    def test_walls_are_ignored_and_print_nothing(self, small):
+        lines, errors = compare_reports(self._timed(small), small)
+        assert errors == []
+        assert "behaviour: identical to baseline" in lines
+        assert not any("wall" in line or "x vs baseline" in line for line in lines)
+
+    def test_drift_still_fails(self, small):
+        baseline = self._timed(small)
+        baseline["cases"][KEY]["default"]["makespan"] += 1.0
+        _, errors = compare_reports(baseline, small)
+        assert any("DRIFT in makespan" in line for line in errors)
 
 
 class TestCli:
