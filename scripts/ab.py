@@ -7,7 +7,11 @@ Usage (from the repository root)::
 
 A is ``REV``, exported with ``git archive`` into a temporary directory
 (local git only; the directory is removed on exit).  B is the working
-tree this script lives in, uncommitted edits included.
+tree this script lives in, copied into the same directory when the run
+starts: tracked files as they stand on disk, uncommitted edits
+included, plus untracked files that git does not ignore.  Both sides
+are then the same shape of tree (no ``.git``, no caches, no ignored
+build output), and edits made while the pairs run do not reach B.
 
 For every workload, ``perfbench/run.py`` runs ``--pairs`` times in each
 tree, in ABBA order (pair 0 runs A then B, pair 1 B then A, ...) with
@@ -31,6 +35,11 @@ metric's ``bound``:
     anything else: the interval is narrower than the bound and stays
     inside it on the bad side.
 
+Each row also gives the median of A's runs with their interquartile
+range, and the median of B's runs: a gain is claimed only when B wins
+at least nine pairs in ten and the two medians differ by more than A's
+interquartile range.
+
 The number of pairs is fixed before a run and never extended until an
 interval closes: adding pairs after an ``unresolved`` verdict biases the
 verdict toward ``within noise``, so report that verdict as it stands.
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shutil
 import statistics
@@ -85,6 +95,14 @@ def bootstrap_median(
     low = medians[int(tail * (resamples - 1))]
     high = medians[int(round((1.0 - tail) * (resamples - 1)))]
     return statistics.median(ratios), low, high
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(first quartile, median, third quartile)`` of ``values``."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    low, median, high = statistics.quantiles(values, n=4)
+    return low, median, high
 
 
 def wins(ratios: Sequence[float], better: str) -> int:
@@ -146,6 +164,30 @@ def _export(rev: str, into: Path) -> Path:
     return tree
 
 
+def _snapshot(into: Path, source: Path = ROOT) -> Path:
+    """The working tree of ``source`` as it stands on disk, under ``into``.
+
+    Tracked files (deleted ones skipped) plus untracked files that git
+    does not ignore, the set ``git ls-files --cached --others
+    --exclude-standard`` lists.
+    """
+    tree = into / "b"
+    tree.mkdir()
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=source, capture_output=True, check=True,
+    ).stdout
+    for name in filter(None, listing.split(b"\0")):
+        name = os.fsdecode(name)
+        path = source / name
+        if not os.path.lexists(path):
+            continue
+        target = tree / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(path, target, follow_symlinks=False)
+    return tree
+
+
 def compare(
     a_tree: Path,
     b_tree: Path,
@@ -153,9 +195,17 @@ def compare(
     metrics: List[dict],
     pairs: int,
     seconds: float,
-) -> List[Tuple[str, int, float, float, float, int, str]]:
-    """ABBA pairs of one workload: a row per metric (see :func:`bootstrap_median`)."""
+) -> List[tuple]:
+    """ABBA pairs of one workload: a row per metric (see :func:`bootstrap_median`).
+
+    A row is ``(name, pairs, median B/A, low, high, B wins, verdict,
+    quartiles of A's runs, median of B's runs)``.
+    """
     ratios: Dict[str, List[float]] = {m["name"]: [] for m in metrics}
+    sides: Dict[str, Dict[str, List[float]]] = {
+        "A": {m["name"]: [] for m in metrics},
+        "B": {m["name"]: [] for m in metrics},
+    }
     for index in range(pairs):
         order = [("A", a_tree), ("B", b_tree)]
         if index % 2:
@@ -168,6 +218,8 @@ def compare(
             a, b = values["A"].get(name), values["B"].get(name)
             if a and b is not None:
                 ratios[name].append(b / a)
+                sides["A"][name].append(a)
+                sides["B"][name].append(b)
     rows = []
     for metric in metrics:
         name = metric["name"]
@@ -177,7 +229,8 @@ def compare(
         rows.append(
             (name, len(ratios[name]), median, low, high,
              wins(ratios[name], metric["better"]),
-             verdict(low, high, metric["bound"], metric["better"]))
+             verdict(low, high, metric["bound"], metric["better"]),
+             quartiles(sides["A"][name]), statistics.median(sides["B"][name]))
         )
     return rows
 
@@ -201,17 +254,20 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="repro-ab-"))
     try:
         a_tree = _export(args.rev, workdir)
-        print(f"A = {args.rev} ({a_tree}), B = {ROOT}; {args.pairs} ABBA pairs, "
-              f"seed {SEED}, {args.seconds:g} s per run")
+        b_tree = _snapshot(workdir)
+        print(f"A = {args.rev} ({a_tree}), B = {ROOT} as copied to {b_tree}; "
+              f"{args.pairs} ABBA pairs, seed {SEED}, {args.seconds:g} s per run")
         print(f"{'workload':<15} {'metric':<17} {'n':>3} {'B/A':>7} "
-              f"{'95% CI':>17} {'B wins':>6}  verdict (bound)")
+              f"{'95% CI':>17} {'B wins':>6}  verdict (bound); "
+              f"A median [quartiles] -> B median")
         for workload in args.workload or [w["name"] for w in spec["workloads"]]:
-            rows = compare(a_tree, ROOT, workload, spec["end_to_end"],
+            rows = compare(a_tree, b_tree, workload, spec["end_to_end"],
                            args.pairs, args.seconds)
             bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-            for name, count, median, low, high, won, label in rows:
+            for name, count, median, low, high, won, label, a_side, b_median in rows:
                 print(f"{workload:<15} {name:<17} {count:>3} {median:>7.3f} "
-                      f"[{low:>6.3f}, {high:>6.3f}] {won:>6}  {label} (±{bounds[name]:g})")
+                      f"[{low:>6.3f}, {high:>6.3f}] {won:>6}  {label} (±{bounds[name]:g}); "
+                      f"{a_side[1]:.4g} [{a_side[0]:.4g}, {a_side[2]:.4g}] -> {b_median:.4g}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0

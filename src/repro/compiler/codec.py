@@ -37,6 +37,14 @@ The digest covers the compressed body; callers at a trust boundary check
 it with :func:`payload_checksum` (see :func:`split`) before decoding.
 Packed columns hold the same small-integer idea as the grid's cell
 addressing (:mod:`repro.arch.grid`): ops refer to table rows, not objects.
+
+:func:`decode` checks everything at once (the stream, the header, every
+column's length, every table index against its table) and then stops:
+it builds no :class:`ScheduledOp`.  The result's schedule holds the
+checked columns (:meth:`Schedule.from_columns`) and builds its ops on
+first access, so a reader of the fingerprint or the summary, or of the
+remembered bytes (:func:`encoded`), never pays for them; replay
+validation, ``full`` replies and ``to_dict()`` do.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from array import array
 from operator import attrgetter
 from typing import Any, Callable, List, Tuple, Union
 
-from ..scheduling.events import Schedule, ScheduledOp
+from ..scheduling.events import Schedule, ScheduledOp, TableColumn
 from .result import CompilationResult
 
 MAGIC = b"RPRC"
@@ -181,9 +189,15 @@ def split(blob: Union[bytes, memoryview]) -> Tuple[str, memoryview]:
 def decode(blob: bytes) -> CompilationResult:
     """Rebuild the result from :func:`encode` bytes (digest not checked).
 
+    Every check happens here: the zlib stream, the header, each column's
+    length and each table index within its table.  Malformed input
+    raises :class:`CodecError` from this call, never later.  The ops are
+    not built: the schedule keeps the checked columns and builds its
+    :class:`ScheduledOp` list on first access to ``ops`` (``len()``,
+    ``makespan`` and ``num_moves`` read the columns until then).
+
     The result remembers ``blob`` (see :func:`encoded`), so a tier that
-    promotes it re-uses these bytes instead of encoding again.  Raises
-    :class:`CodecError` on malformed input.
+    promotes it re-uses these bytes instead of encoding again.
     """
     _, body = split(blob)
     try:
@@ -216,7 +230,9 @@ def decode(blob: bytes) -> CompilationResult:
                     column.byteswap()
                 if code == "t":
                     table = list(map(rebuild, extra))
-                    values = list(map(table.__getitem__, column))
+                    if column and max(column) >= len(table):
+                        raise CodecError(f"column {name!r} indexes past its table")
+                    values = TableColumn(table, column)
                 else:
                     values = column
             if len(values) != count:
@@ -224,8 +240,8 @@ def decode(blob: bytes) -> CompilationResult:
             columns.append(values)
         if offset != len(raw):
             raise CodecError("column section does not match the header")
-        ops = list(map(ScheduledOp, *columns))
-        result = CompilationResult.from_dict(header["result"], Schedule(ops))
+        schedule = Schedule.from_columns(columns)
+        result = CompilationResult.from_dict(header["result"], schedule)
     except CodecError:
         raise
     except (

@@ -26,7 +26,9 @@ that keep the *same* oracle failing) and corpus bookkeeping.
     Both encodings are lossless: ``CompilationResult.from_dict(json(
     to_dict()))`` (the service's ``full`` replies) and ``codec.decode(
     codec.encode(r))`` (worker IPC, the disk tier and the cache peer) give
-    a byte-identical ``json.dumps(to_dict(), sort_keys=True)``.
+    a byte-identical ``json.dumps(to_dict(), sort_keys=True)``.  The
+    decoded result's fingerprint, read from its columns before any op is
+    built, equals ``r``'s and the one read again once the ops are built.
 ``baseline-sanity``
     The compiled makespan never exceeds the pessimistic fully-serial
     ceiling of :mod:`repro.baselines.serial`.
@@ -394,6 +396,10 @@ def _check_serialization(result: CompilationResult) -> List[OracleFailure]:
         canonical = json.dumps(result.to_dict(), sort_keys=True)
         rebuilt = CompilationResult.from_dict(json.loads(canonical))
         decoded = codec.decode(codec.encode(result))
+        lazy = decoded.fingerprint()
+        built_early = decoded.schedule.built
+        decoded_canonical = json.dumps(decoded.to_dict(), sort_keys=True)
+        eager = decoded.fingerprint()
     except Exception as exc:  # noqa: BLE001
         return [
             OracleFailure(
@@ -408,11 +414,30 @@ def _check_serialization(result: CompilationResult) -> List[OracleFailure]:
                 "to_dict() not a fixpoint across from_dict()",
             )
         ]
-    if json.dumps(decoded.to_dict(), sort_keys=True) != canonical:
+    if decoded_canonical != canonical:
         return [
             OracleFailure(
                 "serialization-roundtrip",
                 "codec.decode(codec.encode(r)) does not serialize like r",
+            )
+        ]
+    if built_early:
+        return [
+            OracleFailure(
+                "serialization-roundtrip",
+                "decode or fingerprint() built the ops",
+            )
+        ]
+    if not lazy == eager == result.fingerprint():
+        return [
+            OracleFailure(
+                "serialization-roundtrip",
+                "the decoded fingerprint differs before and after the ops are built",
+                details={
+                    "before": result.fingerprint(),
+                    "columns": lazy,
+                    "ops": eager,
+                },
             )
         ]
     if rebuilt.fingerprint() != result.fingerprint():

@@ -49,7 +49,10 @@ FAILED = "failed"
 #: states a restart must replay through the shard router.
 PENDING_STATES = (QUEUED, DISPATCHED)
 
+#: one transaction, so a new store costs one journal sync, not one per
+#: statement; on an existing store every statement is a no-op.
 _SCHEMA = """
+BEGIN;
 CREATE TABLE IF NOT EXISTS jobs (
     key      TEXT PRIMARY KEY,
     tenant   TEXT NOT NULL,
@@ -69,6 +72,7 @@ CREATE TABLE IF NOT EXISTS tenants (
     first_seen REAL NOT NULL,
     last_seen  REAL NOT NULL
 );
+COMMIT;
 """
 
 

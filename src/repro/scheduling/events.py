@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from operator import add
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..arch.grid import Position
 
@@ -13,6 +15,9 @@ from ..arch.grid import Position
 #: and the final consume op both carry it, so the validity engine can
 #: attribute every consumption to its producing factory.
 MAGIC_NOTE_PREFIX = "magic-state from f"
+
+#: kinds of the data-qubit moves the compiler inserts (:attr:`Schedule.num_moves`).
+MOVE_KINDS = ("move", "evict", "restore")
 
 
 @dataclass(slots=True)
@@ -62,7 +67,7 @@ class ScheduledOp:
         origin would forbid the standard simultaneous row shift.  Gates,
         routes and everything else lock every listed cell.
         """
-        if self.kind in ("move", "evict", "restore") and len(self.cells) == 2:
+        if self.kind in MOVE_KINDS and len(self.cells) == 2:
             return self.cells[1:]
         return self.cells
 
@@ -126,17 +131,102 @@ class ScheduledOp:
         return f"[{self.start:7.1f} +{self.duration:4.1f}] {self.name:6s} q({qubits})"
 
 
-@dataclass
-class Schedule:
-    """An ordered list of :class:`ScheduledOp` plus summary statistics."""
+#: positions of the columns :class:`Schedule` summarizes without ops.
+_KIND = ScheduledOp.__slots__.index("kind")
+_START = ScheduledOp.__slots__.index("start")
+_DURATION = ScheduledOp.__slots__.index("duration")
 
-    ops: List[ScheduledOp] = field(default_factory=list)
+#: guards the one-time build of a column-backed schedule's ops.
+_BUILD_LOCK = threading.Lock()
+
+
+class TableColumn:
+    """A column held as its distinct values plus one table row per op."""
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table: Sequence, rows: Sequence[int]) -> None:
+        self.table = table
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self.table.__getitem__, self.rows)
+
+    def count_in(self, values: Tuple) -> int:
+        """How many ops hold one of ``values``."""
+        return sum(
+            self.rows.count(row)
+            for row, value in enumerate(self.table)
+            if value in values
+        )
+
+
+class Schedule:
+    """An ordered list of :class:`ScheduledOp` plus summary statistics.
+
+    A schedule made by :meth:`from_columns` holds its ops as columns and
+    builds the :class:`ScheduledOp` objects on first access to
+    :attr:`ops`, then drops the columns.  ``len()``, :attr:`makespan` and
+    :attr:`num_moves` read the columns while the ops are unbuilt.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, ops: Optional[List[ScheduledOp]] = None) -> None:
+        self._ops = [] if ops is None else ops
+        self._columns: Optional[tuple] = None
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence]) -> "Schedule":
+        """A schedule over one equal-length column per op field, in
+        :class:`ScheduledOp` field order (a sequence or a
+        :class:`TableColumn` each); the ops are built on first access."""
+        schedule = cls()
+        schedule._ops = None
+        schedule._columns = tuple(columns)
+        return schedule
+
+    @property
+    def built(self) -> bool:
+        """Whether the ops exist as :class:`ScheduledOp` objects."""
+        return self._ops is not None
+
+    @property
+    def ops(self) -> List[ScheduledOp]:
+        ops = self._ops
+        if ops is None:
+            with _BUILD_LOCK:
+                ops = self._ops
+                if ops is None:
+                    # publish the ops before dropping the columns: a reader
+                    # that finds no columns then always finds the ops
+                    ops = self._ops = list(map(ScheduledOp, *self._columns))
+                    self._columns = None
+        return ops
+
+    @ops.setter
+    def ops(self, ops: List[ScheduledOp]) -> None:
+        with _BUILD_LOCK:
+            self._ops = ops
+            self._columns = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ops == other.ops
+
+    def __repr__(self) -> str:
+        return f"Schedule(ops={self.ops!r})"
 
     def append(self, op: ScheduledOp) -> None:
         self.ops.append(op)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        columns = self._columns
+        return len(self._ops) if columns is None else len(columns[_KIND])
 
     def __iter__(self) -> Iterator[ScheduledOp]:
         return iter(self.ops)
@@ -144,9 +234,13 @@ class Schedule:
     @property
     def makespan(self) -> float:
         """Total execution time in units of d."""
+        columns = self._columns
+        if columns is None:
+            ends = (op.start + op.duration for op in self._ops)
+        else:
+            ends = map(add, columns[_START], columns[_DURATION])
         best = 0.0
-        for op in self.ops:
-            end = op.start + op.duration
+        for end in ends:
             if end > best:
                 best = end
         return best
@@ -157,7 +251,13 @@ class Schedule:
     @property
     def num_moves(self) -> int:
         """Move operations inserted by the compiler (incl. evictions)."""
-        return sum(1 for op in self.ops if op.kind in ("move", "evict", "restore"))
+        columns = self._columns
+        if columns is None:
+            return sum(1 for op in self._ops if op.kind in MOVE_KINDS)
+        kinds = columns[_KIND]
+        if isinstance(kinds, TableColumn):
+            return kinds.count_in(MOVE_KINDS)
+        return sum(1 for kind in kinds if kind in MOVE_KINDS)
 
     @property
     def num_gates(self) -> int:

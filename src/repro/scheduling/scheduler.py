@@ -155,7 +155,7 @@ class LatticeSurgeryScheduler:
         self.grid: Grid = grid
         self._qubit_free: Dict[int, float] = {}
         self._cell_free: Dict[Position, float] = {}
-        self._schedule = Schedule()
+        self._ops: List[ScheduledOp] = []
         self._uid = 0
         self.stats = SchedulerStats()
 
@@ -179,7 +179,7 @@ class LatticeSurgeryScheduler:
         self.stats.displacement_aborts = (
             space_search.COUNTERS.abandoned_mover - self._displacement_base
         )
-        return self._schedule
+        return Schedule(self._ops)
 
     # -- internals --------------------------------------------------------------
 
@@ -199,7 +199,7 @@ class LatticeSurgeryScheduler:
         self._qubit_free = {q: 0.0 for q in placement}
         self._cell_free = {}
         self._home = dict(placement)
-        self._schedule = Schedule()
+        self._ops = []
         self._uid = 0
         self._node_end = {}
         self._barrier_floor = 0.0
@@ -249,7 +249,7 @@ class LatticeSurgeryScheduler:
                 min_start, gate_index, note,
             )
             self._uid += 1
-            self._schedule.ops.append(op)
+            self._ops.append(op)
             end = start + duration
             if gate_index is not None and end > self._node_end.get(gate_index, 0.0):
                 self._node_end[gate_index] = end

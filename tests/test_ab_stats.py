@@ -1,12 +1,13 @@
 """The statistics of ``scripts/ab.py``: the bootstrap interval, the pair
-wins and the verdict.
+wins and the verdict, plus the copy of the working tree that B runs in.
 
-Only the pure helpers are tested here; running the benchmark pairs takes
+Only the helpers are tested here; running the benchmark pairs takes
 minutes and stays a manual step.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,35 @@ def test_wins_count_pairs_b_beat_a_and_not_ties():
     assert ab.wins(ratios, "higher") == 1
 
 
+def test_quartiles_give_the_spread_of_one_side():
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
+    assert ab.quartiles([0.7]) == (0.7, 0.7, 0.7)
+
+
 def test_thirty_pairs_by_default():
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     assert ab.build_parser(spec).parse_args(["HEAD"]).pairs == 30
+
+
+def test_b_side_is_the_working_tree_as_on_disk(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / ".gitignore").write_text("build/\n")
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "src" / "gone.py").write_text("committed\n")
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    (repo / "src" / "kept.py").write_text("edited\n")  # tracked, modified
+    (repo / "src" / "gone.py").unlink()  # tracked, deleted on disk
+    (repo / "src" / "new.py").write_text("untracked\n")  # untracked, not ignored
+    (repo / "build").mkdir()
+    (repo / "build" / "out.bin").write_text("ignored\n")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    tree = ab._snapshot(out, source=repo)
+    files = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (tree / "src" / "kept.py").read_text() == "edited\n"

@@ -8,6 +8,10 @@ remote bytes are untrusted, so malformed input must raise ``CodecError``
 
 import dataclasses
 import json
+import pickle
+import random
+import sys
+import threading
 import zlib
 
 import pytest
@@ -17,6 +21,7 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.perf import bench_cases
 from repro.scheduling.events import Schedule, ScheduledOp
+from repro.service import protocol
 from repro.workloads import load_benchmark
 
 
@@ -111,6 +116,107 @@ class TestRoundTrip:
         assert codec.payload_checksum(b'{"a": 1, "b": 2}') == expected
 
 
+class TestOpsBuiltOnFirstTouch:
+    """A decoded result holds checked columns; its ops are built when read."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """A list that grows by one per ScheduledOp constructed."""
+        made = []
+        init = ScheduledOp.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScheduledOp, "__init__", counting)
+        return made
+
+    def test_summary_readers_build_no_op(self, fast_matrix, constructions):
+        blobs = [codec.encode(result) for result in fast_matrix]
+        expected = [result.fingerprint() for result in fast_matrix]
+        constructions.clear()
+        for blob, fingerprint in zip(blobs, expected):
+            decoded = codec.decode(blob)
+            assert decoded.fingerprint() == fingerprint
+            reply = protocol.compile_response(decoded, "k", "disk", 0.0, full=False)
+            assert reply["fingerprint"] == fingerprint
+            assert "schedule" not in decoded.to_dict(include_schedule=False)
+            assert codec.encoded(decoded) == blob
+            assert not decoded.schedule.built
+        assert constructions == []
+
+    def test_first_access_builds_every_op_once(self, result, constructions):
+        decoded = codec.decode(codec.encode(result))
+        lazy = decoded.fingerprint()
+        assert not decoded.schedule.built
+        assert decoded.schedule.ops == result.schedule.ops
+        built = len(constructions)
+        assert built == len(result.schedule)
+        assert decoded.schedule.built
+        assert decoded.fingerprint() == lazy == result.fingerprint()
+        assert decoded.to_dict() == result.to_dict()
+        assert len(constructions) == built
+
+    def test_summaries_of_odd_columns_match_the_ops(self, result):
+        first, second, *rest = result.schedule.ops
+        odd = [
+            dataclasses.replace(first, start=-1, duration=0),  # ints, end < 0
+            dataclasses.replace(second, kind=["move"]),  # an unhashable kind
+            *rest,
+        ]
+        for ops in (odd, odd[:2], [odd[0]], []):
+            changed = _with_ops(result, ops)
+            decoded = codec.decode(codec.encode(changed))
+            lazy = decoded.fingerprint()
+            assert not decoded.schedule.built
+            assert lazy == changed.fingerprint()
+            assert type(lazy["makespan"]) is type(changed.fingerprint()["makespan"])
+            decoded.schedule.ops
+            assert decoded.fingerprint() == lazy
+
+    def test_concurrent_first_access_sees_one_list(self, result):
+        decoded = codec.decode(codec.encode(result))
+        barrier = threading.Barrier(8)
+        seen, errors = [], []
+
+        def touch():
+            try:
+                barrier.wait()
+                seen.append(decoded.schedule.ops)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=touch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == 8
+        assert all(ops is seen[0] for ops in seen)
+        assert seen[0] == result.schedule.ops
+
+    def test_an_unbuilt_result_pickles(self, result):
+        decoded = codec.decode(codec.encode(result))
+        copy = pickle.loads(pickle.dumps(decoded))
+        assert not copy.schedule.built
+        assert copy.fingerprint() == result.fingerprint()
+        assert copy.to_dict() == result.to_dict()
+
+    def test_assigning_ops_replaces_the_columns(self, result):
+        decoded = codec.decode(codec.encode(result))
+        decoded.schedule.ops = result.schedule.ops[:1]
+        assert len(decoded.schedule) == 1
+        assert decoded.schedule.makespan == result.schedule.ops[0].end
+
+
 class TestRejects:
     def test_truncated_prefix(self, result):
         with pytest.raises(codec.CodecError):
@@ -159,6 +265,26 @@ class TestRejects:
         raw = zlib.decompress(codec.split(codec.encode(result))[1])
         with pytest.raises(codec.CodecError):
             codec.decode(_blob(zlib.compress(raw[:-4])))
+
+    def test_accepted_bytes_build_without_error(self, result):
+        """Damage decode lets through never fails later, at first op access."""
+        raw = zlib.decompress(codec.split(codec.encode(result))[1])
+        rng = random.Random(0)
+        accepted = 0
+        for _ in range(300):
+            body = bytearray(raw)
+            for _ in range(rng.choice((1, 2, 4))):
+                body[rng.randrange(len(body))] = rng.randrange(256)
+            try:
+                decoded = codec.decode(_blob(zlib.compress(bytes(body))))
+            except codec.CodecError:
+                continue
+            accepted += 1
+            lazy = decoded.fingerprint()
+            rows = decoded.to_dict()["schedule"]["ops"]
+            assert len(rows) == len(decoded.schedule)
+            assert decoded.fingerprint() == lazy
+        assert accepted > 0
 
     def test_table_index_out_of_range(self, result):
         raw = bytearray(zlib.decompress(codec.split(codec.encode(result))[1]))

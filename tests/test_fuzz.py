@@ -210,6 +210,39 @@ class TestOracles:
         oracles = {f.oracle for f in static_oracles(scenario, result)}
         assert oracles == {"serialization-roundtrip"}
 
+    def test_serialization_oracle_fires_when_decode_builds_the_ops(
+        self, stream, monkeypatch
+    ):
+        from repro.compiler import codec
+
+        scenario = stream[0]
+        result = _compiled(scenario)
+        decode = codec.decode
+
+        def eager(blob):
+            rebuilt = decode(blob)
+            rebuilt.schedule.ops
+            return rebuilt
+
+        monkeypatch.setattr(codec, "decode", eager)
+        oracles = {f.oracle for f in static_oracles(scenario, result)}
+        assert oracles == {"serialization-roundtrip"}
+
+    def test_serialization_oracle_fires_on_a_wrong_column_summary(
+        self, stream, monkeypatch
+    ):
+        from repro.scheduling.events import TableColumn
+
+        scenario = stream[0]
+        result = _compiled(scenario)
+        count_in = TableColumn.count_in
+        monkeypatch.setattr(
+            TableColumn, "count_in", lambda self, values: count_in(self, values) + 1
+        )
+        failures = static_oracles(scenario, result)
+        assert {f.oracle for f in failures} == {"serialization-roundtrip"}
+        assert "before and after" in failures[0].message
+
     def test_determinism_oracle_fires_on_fingerprint_drift(self, stream):
         scenario = stream[0]
         a, b = _compiled(scenario), _compiled(scenario)
