@@ -39,12 +39,15 @@ Packed columns hold the same small-integer idea as the grid's cell
 addressing (:mod:`repro.arch.grid`): ops refer to table rows, not objects.
 
 :func:`decode` checks everything at once (the stream, the header, every
-column's length, every table index against its table) and then stops:
-it builds no :class:`ScheduledOp`.  The result's schedule holds the
-checked columns (:meth:`Schedule.from_columns`) and builds its ops on
-first access, so a reader of the fingerprint or the summary, or of the
-remembered bytes (:func:`encoded`), never pays for them; replay
-validation, ``full`` replies and ``to_dict()`` do.
+column's length, every table index against its table, the type of every
+table and ``j`` value against its field) and then stops: it builds no
+:class:`ScheduledOp`.  The result's schedule holds the checked columns
+(:meth:`Schedule.from_columns`) and builds its ops on first access, so a
+reader of the fingerprint or the summary, of the remembered bytes
+(:func:`encoded`), or the replay validator (which reads
+:meth:`Schedule.columns`) never pays for them; ``full`` replies and
+``to_dict()`` do.  :func:`encode` reads the same :meth:`Schedule.columns`,
+so a built and a decoded schedule encode through one path.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ import struct
 import sys
 import zlib
 from array import array
-from operator import attrgetter
+from itertools import chain
 from typing import Any, Callable, List, Tuple, Union
 
-from ..scheduling.events import Schedule, ScheduledOp, TableColumn
+from ..scheduling.events import TABLE_FIELDS, Schedule, ScheduledOp, TableColumn
 from .result import CompilationResult
 
 MAGIC = b"RPRC"
@@ -101,42 +104,78 @@ def _same(value: Any) -> Any:
     return value
 
 
-#: ``(field, packed kind, rebuild-from-JSON)`` in ScheduledOp field order.
-_FIELDS: Tuple[Tuple[str, str, Callable[[Any], Any]], ...] = (
-    ("uid", "q", _same),
-    ("kind", "t", _same),
-    ("name", "t", _same),
-    ("qubits", "t", tuple),
-    ("cells", "t", _as_cells),
-    ("start", "d", _same),
-    ("duration", "d", _same),
-    ("min_start", "d", _same),
-    ("gate_index", "q", _same),
-    ("note", "t", _same),
+def _types_in(values, *allowed: type) -> bool:
+    """Whether every value's type is one of ``allowed`` (a bool is not an
+    int); one C-level pass."""
+    return set(map(type, values)) <= set(allowed)
+
+
+def _all_ints(values: list) -> bool:
+    return _types_in(values, int)
+
+
+def _all_str(values: list) -> bool:
+    return _types_in(values, str)
+
+
+def _all_times(values: list) -> bool:
+    # an int time must still fit a float, as every time comparison does
+    return _types_in(values, float, int) and all(
+        abs(value) <= sys.float_info.max for value in values if type(value) is int
+    )
+
+
+def _all_gate_indices(values: list) -> bool:
+    return _types_in(values, int, type(None))
+
+
+def _all_qubit_tuples(values: list) -> bool:
+    return _types_in(chain.from_iterable(values), int)
+
+
+def _all_cell_tuples(values: list) -> bool:
+    cells = set(chain.from_iterable(values))  # a cell recurs across rows
+    return set(map(len, cells)) <= {2} and _types_in(chain.from_iterable(cells), int)
+
+
+#: ``(field, packed kind, rebuild-from-JSON, accepts the rebuilt values)``
+#: in ScheduledOp field order.
+_FIELDS: Tuple[Tuple[str, str, Callable[[Any], Any], Callable[[list], bool]], ...] = (
+    ("uid", "q", _same, _all_ints),
+    ("kind", "t", _same, _all_str),
+    ("name", "t", _same, _all_str),
+    ("qubits", "t", tuple, _all_qubit_tuples),
+    ("cells", "t", _as_cells, _all_cell_tuples),
+    ("start", "d", _same, _all_times),
+    ("duration", "d", _same, _all_times),
+    ("min_start", "d", _same, _all_times),
+    ("gate_index", "q", _same, _all_gate_indices),
+    ("note", "t", _same, _all_str),
 )
 assert tuple(f[0] for f in _FIELDS) == ScheduledOp.__slots__
-
-#: one op as the tuple of its field values, in :data:`_FIELDS` order.
-_ROW = attrgetter(*(name for name, _, _ in _FIELDS))
+assert tuple(f[0] for f in _FIELDS if f[1] == "t") == TABLE_FIELDS
 
 _ITEM = {"d": "d", "q": "q", "t": "I"}
 
 
-def _packed(values: list, kind: str) -> Tuple[Any, bytes]:
+def _packed(values, kind: str) -> Tuple[Any, bytes]:
     """``(descriptor extra, column bytes)``; raises TypeError if unpackable."""
-    if kind == "d":
+    if kind == "t":
+        if not isinstance(values, TableColumn):
+            values = TableColumn.of(list(values))
+            if not isinstance(values, TableColumn):
+                raise TypeError("unhashable")
+        column, extra = array("I", values.rows), list(values.table)
+    elif kind == "d":
         if set(map(type, values)) - {float}:
             raise TypeError("not all floats")
         column, extra = array("d", values), None
-    elif kind == "q":
+    else:
         if set(map(type, values)) - {int} or (
             values and (min(values) < _INT64[0] or max(values) > _INT64[1])
         ):
             raise TypeError("not all int64")
         column, extra = array("q", values), None
-    else:
-        rows = {value: row for row, value in enumerate(dict.fromkeys(values))}
-        column, extra = array("I", map(rows.__getitem__, values)), list(rows)
     if _BIG_ENDIAN:
         column.byteswap()
     return extra, column.tobytes()
@@ -144,23 +183,20 @@ def _packed(values: list, kind: str) -> Tuple[Any, bytes]:
 
 def encode(result: CompilationResult) -> bytes:
     """The result as self-describing, checksummed bytes (see module doc)."""
-    ops = result.schedule.ops
-    columns = zip(*map(_ROW, ops)) if ops else [()] * len(_FIELDS)
     descriptors: List[list] = []
     chunks: List[bytes] = []
-    for (name, kind, _), values in zip(_FIELDS, columns):
-        values = list(values)
+    for (name, kind, _, _), values in zip(_FIELDS, result.schedule.columns()):
         try:
             extra, data = _packed(values, kind)
         except TypeError:  # unhashable or mistyped: keep the exact values
-            descriptors.append([name, "j", values])
+            descriptors.append([name, "j", list(values)])
             continue
         descriptors.append([name, kind, extra])
         chunks.append(data)
     header = json.dumps(
         {
             "result": result.to_dict(include_schedule=False),
-            "ops": len(ops),
+            "ops": len(result.schedule),
             "columns": descriptors,
         },
         sort_keys=True,
@@ -190,11 +226,13 @@ def decode(blob: bytes) -> CompilationResult:
     """Rebuild the result from :func:`encode` bytes (digest not checked).
 
     Every check happens here: the zlib stream, the header, each column's
-    length and each table index within its table.  Malformed input
-    raises :class:`CodecError` from this call, never later.  The ops are
-    not built: the schedule keeps the checked columns and builds its
-    :class:`ScheduledOp` list on first access to ``ops`` (``len()``,
-    ``makespan`` and ``num_moves`` read the columns until then).
+    length, each table index within its table, and the type of each table
+    and ``j`` value (see :data:`_FIELDS`; a bool is neither an int nor a
+    float).  Malformed input raises :class:`CodecError` from this call,
+    never later.  The ops are not built: the schedule keeps the checked
+    columns and builds its :class:`ScheduledOp` list on first access to
+    ``ops`` (``len()``, ``makespan`` and ``num_moves`` read the columns
+    until then).
 
     The result remembers ``blob`` (see :func:`encoded`), so a tier that
     promotes it re-uses these bytes instead of encoding again.
@@ -214,13 +252,18 @@ def decode(blob: bytes) -> CompilationResult:
         if len(header["columns"]) != len(_FIELDS):
             raise CodecError("the header does not describe every op field")
         columns = []
-        for (name, kind, rebuild), (label, code, extra) in zip(
+        for (name, kind, rebuild, accepts), (label, code, extra) in zip(
             _FIELDS, header["columns"]
         ):
             if label != name or code not in (kind, "j"):
                 raise CodecError(f"unexpected column {label!r}:{code!r}")
+            if code in ("j", "t"):
+                # once per table value, not per op (a "j" column is rare)
+                extra = list(map(rebuild, extra))
+                if not accepts(extra):
+                    raise CodecError(f"column {name!r} holds a value of the wrong type")
             if code == "j":
-                values = list(map(rebuild, extra))
+                values = extra
             else:
                 column = array(_ITEM[code])
                 end = offset + count * column.itemsize
@@ -229,10 +272,9 @@ def decode(blob: bytes) -> CompilationResult:
                 if _BIG_ENDIAN:
                     column.byteswap()
                 if code == "t":
-                    table = list(map(rebuild, extra))
-                    if column and max(column) >= len(table):
+                    if column and max(column) >= len(extra):
                         raise CodecError(f"column {name!r} indexes past its table")
-                    values = TableColumn(table, column)
+                    values = TableColumn(extra, column)
                 else:
                     values = column
             if len(values) != count:

@@ -90,20 +90,25 @@ class DagCircuit:
                     barrier_pred[q] = tuple(sorted(frontier))
                 continue
             node = DagNode(index=len(self.nodes), gate=gate)
+            # every predecessor precedes the node in circuit order, so its
+            # ASAP layer is final here
+            layer = 0
             for q in gate.qubits:
                 prev = last_on_wire[q]
                 if prev is not None:
                     node.predecessors.add(prev)
                     self.nodes[prev].successors.add(node.index)
                     self._next_on_wire[(prev, q)] = node.index
+                    layer = max(layer, self.nodes[prev].layer + 1)
                 for pending in barrier_pred.pop(q, ()):
                     if pending not in node.predecessors:
                         node.predecessors.add(pending)
                         node.barrier_predecessors.add(pending)
                         self.nodes[pending].successors.add(node.index)
+                        layer = max(layer, self.nodes[pending].layer + 1)
                 last_on_wire[q] = node.index
+            node.layer = layer
             self.nodes.append(node)
-        self._compute_layers()
 
     # -- structure ----------------------------------------------------------
 
@@ -119,20 +124,6 @@ class DagCircuit:
     def roots(self) -> List[DagNode]:
         """Gates with no predecessors (the initial frontier)."""
         return [n for n in self.nodes if not n.predecessors]
-
-    def _compute_layers(self) -> None:
-        indegree = {n.index: len(n.predecessors) for n in self.nodes}
-        ready = deque(n.index for n in self.nodes if indegree[n.index] == 0)
-        while ready:
-            idx = ready.popleft()
-            node = self.nodes[idx]
-            node.layer = max(
-                (self.nodes[p].layer + 1 for p in node.predecessors), default=0
-            )
-            for succ in node.successors:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
 
     # -- queries used by the compiler ----------------------------------------
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..arch.grid import Position
@@ -67,9 +68,7 @@ class ScheduledOp:
         origin would forbid the standard simultaneous row shift.  Gates,
         routes and everything else lock every listed cell.
         """
-        if self.kind in MOVE_KINDS and len(self.cells) == 2:
-            return self.cells[1:]
-        return self.cells
+        return resource_cells(self.kind, self.cells)
 
     def magic_factory(self) -> Optional[int]:
         """Index of the factory whose state this op carries/consumes.
@@ -77,13 +76,7 @@ class ScheduledOp:
         Parsed from the ``note`` tag the scheduler writes on magic-state
         route hops and consume ops; None for everything else.
         """
-        if not self.note.startswith(MAGIC_NOTE_PREFIX):
-            return None
-        suffix = self.note[len(MAGIC_NOTE_PREFIX):]
-        try:
-            return int(suffix)
-        except ValueError:
-            return None
+        return magic_factory(self.note)
 
     def shifted(self, new_start: float) -> "ScheduledOp":
         """Copy with a different start time (used by resimulation)."""
@@ -131,6 +124,28 @@ class ScheduledOp:
         return f"[{self.start:7.1f} +{self.duration:4.1f}] {self.name:6s} q({qubits})"
 
 
+def resource_cells(kind: str, cells: Tuple[Position, ...]) -> Tuple[Position, ...]:
+    """The cells an op of ``kind`` over ``cells`` locks (see
+    :meth:`ScheduledOp.resource_cells`)."""
+    if kind in MOVE_KINDS and len(cells) == 2:
+        return cells[1:]
+    return cells
+
+
+def magic_factory(note: str) -> Optional[int]:
+    """Factory index a ``note`` tags (see :data:`MAGIC_NOTE_PREFIX`), else None."""
+    if not note.startswith(MAGIC_NOTE_PREFIX):
+        return None
+    try:
+        return int(note[len(MAGIC_NOTE_PREFIX):])
+    except ValueError:
+        return None
+
+
+#: fields :meth:`Schedule.columns` holds as a :class:`TableColumn`: few
+#: distinct values, each shared by many ops.
+TABLE_FIELDS = ("kind", "name", "qubits", "cells", "note")
+
 #: positions of the columns :class:`Schedule` summarizes without ops.
 _KIND = ScheduledOp.__slots__.index("kind")
 _START = ScheduledOp.__slots__.index("start")
@@ -155,6 +170,16 @@ class TableColumn:
     def __iter__(self) -> Iterator:
         return map(self.table.__getitem__, self.rows)
 
+    @classmethod
+    def of(cls, values: list):
+        """``values`` over their distinct values in first-seen order, or
+        ``values`` itself when one of them is unhashable."""
+        try:
+            rows = {value: row for row, value in enumerate(dict.fromkeys(values))}
+        except TypeError:
+            return values
+        return cls(list(rows), array("I", map(rows.__getitem__, values)))
+
     def count_in(self, values: Tuple) -> int:
         """How many ops hold one of ``values``."""
         return sum(
@@ -167,10 +192,12 @@ class TableColumn:
 class Schedule:
     """An ordered list of :class:`ScheduledOp` plus summary statistics.
 
-    A schedule made by :meth:`from_columns` holds its ops as columns and
-    builds the :class:`ScheduledOp` objects on first access to
-    :attr:`ops`, then drops the columns.  ``len()``, :attr:`makespan` and
-    :attr:`num_moves` read the columns while the ops are unbuilt.
+    A schedule made by :meth:`from_columns` (a decoded cache hit) holds
+    its ops as columns and builds the :class:`ScheduledOp` objects on
+    first access to :attr:`ops`, then drops the columns.  ``len()``,
+    :attr:`makespan` and :attr:`num_moves` read the columns while the ops
+    are unbuilt; so do the replay validator and the codec's encoder, which
+    read every schedule through :meth:`columns` and never build an op.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -188,6 +215,24 @@ class Schedule:
         schedule._ops = None
         schedule._columns = tuple(columns)
         return schedule
+
+    def columns(self) -> tuple:
+        """One column per :class:`ScheduledOp` field, in field order.
+
+        The stored columns of an unbuilt schedule, else columns derived
+        from the ops on each call: a list per field, or a
+        :class:`TableColumn` for each of :data:`TABLE_FIELDS` whose values
+        are all hashable.  Treat them as read-only.
+        """
+        columns = self._columns
+        if columns is not None:
+            return columns
+        ops = self.ops
+        derived = []
+        for field in ScheduledOp.__slots__:
+            column = list(map(attrgetter(field), ops))
+            derived.append(TableColumn.of(column) if field in TABLE_FIELDS else column)
+        return tuple(derived)
 
     @property
     def built(self) -> bool:

@@ -1,9 +1,9 @@
 """Replay validator: independently re-check a compiled :class:`Schedule`.
 
 The scheduler and the Sec. V-D re-timing pass each keep their own resource
-bookkeeping; nothing here reuses it.  The validator walks the schedule
-op-by-op and re-derives, from first principles, every invariant an
-executable lattice-surgery schedule must satisfy:
+bookkeeping; nothing here reuses it.  The validator re-derives, from
+first principles, every invariant an executable lattice-surgery schedule
+must satisfy:
 
 * per-qubit timelines are exclusive and in schedule order;
 * every cell in an op's :meth:`~repro.scheduling.events.ScheduledOp.resource_cells`
@@ -19,6 +19,22 @@ executable lattice-surgery schedule must satisfy:
   round completes, or consumed twice, compresses the sequence below it),
   and the total number of consumptions matches the circuit's T-count.
 
+How a schedule is read
+----------------------
+Every check reads the schedule's columns
+(:meth:`~repro.scheduling.events.Schedule.columns`), never its
+:class:`~repro.scheduling.events.ScheduledOp` list, so a decoded cache
+hit is validated without building one op.  A fact that depends on one
+table value alone is worked out once per table row: whether a kind is a
+move, whether a gate name needs an ancilla cell, the factory a note
+names, the cells a ``(kind, cells)`` pair locks.  The per-op work is one
+fused pass (per-qubit timelines, per-cell time order, per-gate and qubit
+extents) plus C-level ``map``/``all``/``compress`` screens over the
+columns.  A screen that finds something hands its check to a walk over
+the ops in schedule order, so the report (violation order, codes,
+messages, counts) is exactly what an op-by-op walk produces;
+``tests/test_reference_oracles.py`` keeps such a walk as the oracle.
+
 Use :func:`validate_schedule` for raw schedules, or
 :func:`validate_result` to check a full
 :class:`~repro.compiler.result.CompilationResult` against the circuit and
@@ -29,14 +45,23 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Mapping, Optional, Tuple
+from array import array
+from itertools import compress, count, islice, repeat
+from operator import add, getitem, le, lt, mul
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.grid import Position
 from ..ir import gates as g
 from ..ir.circuit import Circuit
 from ..ir.dag import DagCircuit
 from ..perf.profiler import profiled
-from ..scheduling.events import Schedule, ScheduledOp
+from ..scheduling.events import (
+    MOVE_KINDS,
+    Schedule,
+    TableColumn,
+    magic_factory,
+    resource_cells,
+)
 from .report import ValidationError, ValidationReport, Violation
 
 #: tolerance for float time comparisons (schedule times are sums of small
@@ -47,6 +72,9 @@ EPS = 1e-6
 #: even without DAG context (H/SX need a neighbour, CX/CZ a merge ancilla,
 #: T/Tdg a magic-state drop cell).
 _CELL_REQUIRED = frozenset({g.H, g.SX, g.SXDG, g.CX, g.CZ, g.T, g.TDG})
+
+#: op kinds whose footprint must be an (origin, dest) cell pair.
+_PAIR_KINDS = ("move", "evict", "restore", "route")
 
 
 def env_forced() -> bool:
@@ -121,58 +149,218 @@ def validate_result(result, circuit: Circuit, config, label: str = "") -> Valida
     )
 
 
+def _rows(column) -> Tuple[Sequence, Sequence[int]]:
+    """``(table, row per op)`` of a column; a plain list is its own table."""
+    if isinstance(column, TableColumn):
+        return column.table, column.rows
+    return column, range(len(column))
+
+
+def _values(column) -> list:
+    """A packed column as a list: one value object per op, as ops hold them."""
+    return column.tolist() if isinstance(column, array) else column
+
+
+class _Scan:
+    """What the fused pass over the ops found (see :meth:`ScheduleValidator._scan`)."""
+
+    __slots__ = (
+        "timeline", "cells_in_order", "cell_intervals", "wire_first", "wire_end",
+        "qubit_ids", "stride", "gate_ids",
+    )
+
+    def __init__(self, qubit_ids: dict, gate_ids: Optional[dict]) -> None:
+        #: ``(op, qubit id, previous op on that qubit)`` per double booking.
+        self.timeline: List[Tuple[int, int, int]] = []
+        #: each cell's spans, in op order, start at or after the previous
+        #: span's end (so op order is sorted order and nothing overlaps).
+        self.cells_in_order = True
+        self.cell_intervals = 0
+        #: ``gate id * stride + qubit id`` -> the first op starting
+        #: earliest / the latest end, over the gate's ops on the qubit.
+        self.wire_first: Dict[int, int] = {}
+        self.wire_end: Dict[int, float] = {}
+        #: qubit value -> dense id, below ``stride``.
+        self.qubit_ids = qubit_ids
+        self.stride = len(qubit_ids) or 1
+        #: gate index -> dense id; None when the gate indices are all
+        #: ints, which serve as their own ids.
+        self.gate_ids = gate_ids
+
+
 class ScheduleValidator:
     """Stateful runner behind :func:`validate_schedule`.
 
     Each ``check_*`` method appends to :attr:`report` and records how many
     facts it examined, so a green report also shows the checks actually ran.
+    The checks read :meth:`Schedule.columns`; the timeline, cell and
+    dependency checks share one pass over the ops, made on first need.
     """
 
     def __init__(self, schedule: Schedule, eps: float = EPS, label: str = "") -> None:
         self.schedule = schedule
         self.eps = eps
-        self.report = ValidationReport(label=label, ops_checked=len(schedule.ops))
+        self.report = ValidationReport(label=label, ops_checked=len(schedule))
+        (
+            uid, kind, name, qubits, cells, start, duration, min_start,
+            gate_index, note,
+        ) = schedule.columns()
+        self._uid, self._start, self._duration, self._min_start, self._gate_index = map(
+            _values, (uid, start, duration, min_start, gate_index)
+        )
+        #: a packed gate-index column holds only ints
+        self._int_gates = isinstance(gate_index, array)
+        self._kind, self._name, self._qubits, self._cells, self._note = map(
+            _rows, (kind, name, qubits, cells, note)
+        )
+        self._end = list(map(add, self._start, self._duration))
+        self._finite: Optional[bool] = None
+        self._scanned: Optional[_Scan] = None
 
     def _flag(self, **kwargs) -> None:
         self.report.add(Violation(**kwargs))
+
+    def _by_kind(self, column, fact: Callable[[object], list]) -> Iterator:
+        """Per op, ``fact(kind)[row]``: a fact of the op's kind and of its
+        row in ``column``, from one list per kind table row."""
+        ktable, krows = self._kind
+        _, rows = column
+        return map(getitem, map(list(map(fact, ktable)).__getitem__, krows), rows)
+
+    def _all_finite(self) -> bool:
+        if self._finite is None:
+            # a finite sum has only finite terms; a sum of finite terms
+            # that overflows only sends the checks down their exact walks
+            self._finite = all(
+                math.isfinite(sum(column, 0.0))
+                for column in (self._start, self._duration, self._min_start)
+            )
+        return self._finite
+
+    def _scan(self) -> _Scan:
+        """The one pass over the ops behind the timeline, cell and
+        dependency checks.
+
+        Per qubit it compares each op with the previous op on that qubit
+        (exactly the timeline check).  Per cell it tests that the spans
+        come in time order without touching, the common case in which the
+        cell check needs no sort.  Per gate index and qubit it folds the
+        earliest start (the first op on ties) and the latest end in op
+        order, as ``min``/``max`` over those ops would.
+        """
+        scan = self._scanned
+        if scan is not None:
+            return scan
+        qtable, qrows = self._qubits
+        qubit_ids: Dict[object, int] = {}
+        qubit_rows = [
+            tuple(qubit_ids.setdefault(qubit, len(qubit_ids)) for qubit in row)
+            for row in qtable
+        ]
+        if self._int_gates:
+            scan = _Scan(qubit_ids, None)
+            gate_keys = list(map(mul, self._gate_index, repeat(scan.stride)))
+        else:
+            gate_ids: Dict[object, int] = {}
+            scan = _Scan(qubit_ids, gate_ids)
+            gate_keys = [
+                gate_ids.setdefault(index, len(gate_ids)) * scan.stride
+                for index in self._gate_index
+            ]
+        cell_ids: Dict[object, int] = {}
+        spans = [
+            tuple(cell_ids.setdefault(cell, len(cell_ids)) for cell in cells)
+            for cells in self._cells[0]
+        ]
+        # the cells each kind locks (ScheduledOp.resource_cells): a move
+        # of a qubit locks its destination only
+        dests = [ids[1:] if len(ids) == 2 else ids for ids in spans]
+        locks = self._by_kind(
+            self._cells, lambda kind: dests if kind in MOVE_KINDS else spans
+        )
+        eps, starts, ends = self.eps, self._start, self._end
+        timeline, wire_first, wire_end = scan.timeline, scan.wire_first, scan.wire_end
+        last_op = [-1] * scan.stride
+        cell_end = [-math.inf] * len(cell_ids)
+        in_order = True
+        cell_intervals = 0
+        for i, qubits, cells, start, end, duration, gate_key in zip(
+            count(), map(qubit_rows.__getitem__, qrows), locks,
+            starts, ends, self._duration, gate_keys,
+        ):
+            for qubit in qubits:
+                prev = last_op[qubit]
+                if prev >= 0 and start + eps < ends[prev]:
+                    timeline.append((i, qubit, prev))
+                last_op[qubit] = i
+                key = gate_key + qubit
+                first = wire_first.get(key)
+                if first is None:
+                    wire_first[key] = i
+                    wire_end[key] = end
+                else:
+                    if start < starts[first]:
+                        wire_first[key] = i
+                    if end > wire_end[key]:
+                        wire_end[key] = end
+            if duration > 0:
+                cell_intervals += len(cells)
+                for cell in cells:
+                    if start < cell_end[cell]:
+                        in_order = False
+                    cell_end[cell] = end
+        scan.cells_in_order = in_order
+        scan.cell_intervals = cell_intervals
+        self._scanned = scan
+        return scan
 
     # -- structural sanity ---------------------------------------------------
 
     def check_structure(self) -> None:
         """Uids strictly increasing, times finite and non-negative."""
+        uids, starts, durations = self._uid, self._start, self._duration
+        if uids and (
+            any(map(le, islice(uids, 1, None), uids))
+            or not self._all_finite()
+            or min(starts) < -self.eps
+            or min(durations) < 0
+        ):
+            self._walk_structure()
+        self.report.checks["structure"] = len(uids)
+
+    def _walk_structure(self) -> None:
         prev_uid: Optional[int] = None
-        for op in self.schedule.ops:
-            if prev_uid is not None and op.uid <= prev_uid:
+        for uid, start, duration, min_start in zip(
+            self._uid, self._start, self._duration, self._min_start
+        ):
+            if prev_uid is not None and uid <= prev_uid:
                 self._flag(
-                    code="structure", uid=op.uid, other_uid=prev_uid,
-                    message=f"op uid {op.uid} not increasing after {prev_uid}",
+                    code="structure", uid=uid, other_uid=prev_uid,
+                    message=f"op uid {uid} not increasing after {prev_uid}",
                 )
-            prev_uid = op.uid
-            if not all(
-                math.isfinite(t) for t in (op.start, op.duration, op.min_start)
-            ):
+            prev_uid = uid
+            if not all(math.isfinite(t) for t in (start, duration, min_start)):
                 # NaN/inf defeats every later comparison (NaN compares
                 # False everywhere), so flag it here and move on
                 self._flag(
-                    code="structure", uid=op.uid,
+                    code="structure", uid=uid,
                     message=(
-                        f"op {op.uid} has non-finite times "
-                        f"(start={op.start}, duration={op.duration}, "
-                        f"min_start={op.min_start})"
+                        f"op {uid} has non-finite times "
+                        f"(start={start}, duration={duration}, "
+                        f"min_start={min_start})"
                     ),
                 )
                 continue
-            if op.start < -self.eps:
+            if start < -self.eps:
                 self._flag(
-                    code="structure", uid=op.uid, time=op.start,
-                    message=f"op {op.uid} starts before t=0 ({op.start})",
+                    code="structure", uid=uid, time=start,
+                    message=f"op {uid} starts before t=0 ({start})",
                 )
-            if op.duration < 0:
+            if duration < 0:
                 self._flag(
-                    code="structure", uid=op.uid,
-                    message=f"op {op.uid} has negative duration {op.duration}",
+                    code="structure", uid=uid,
+                    message=f"op {uid} has negative duration {duration}",
                 )
-        self.report.checks["structure"] = len(self.schedule.ops)
 
     def check_footprints(self, dag: Optional[DagCircuit] = None) -> None:
         """Cell footprints are structurally complete for the op's kind.
@@ -181,69 +369,89 @@ class ScheduleValidator:
         ancilla-consuming gate with no locked cell) would make the
         exclusivity checks vacuously pass, so it is a violation in itself.
         """
-        checked = 0
-        for op in self.schedule.ops:
-            checked += 1
-            if op.kind in ("move", "evict", "restore", "route"):
-                if len(op.cells) != 2:
-                    self._flag(
-                        code="footprint", uid=op.uid, gate_index=op.gate_index,
-                        message=(
-                            f"{op.kind} op {op.uid} must carry an "
-                            f"(origin, dest) cell pair, has {len(op.cells)}"
-                        ),
-                    )
+        ctable = self._cells[0]
+        not_a_pair = [len(cells) != 2 for cells in ctable]
+        no_cell = [not cells for cells in ctable]
+        nothing = [False] * len(ctable)
+
+        def suspect(kind) -> list:
+            if kind in _PAIR_KINDS:
+                return not_a_pair
+            return no_cell if kind == "gate" else nothing
+
+        (ktable, krows), (ntable, nrows) = self._kind, self._name
+        uids, gate_indices, crows = self._uid, self._gate_index, self._cells[1]
+        name_needs: Dict[int, bool] = {}
+        for i in compress(count(), self._by_kind(self._cells, suspect)):
+            kind, gate_index = ktable[krows[i]], gate_indices[i]
+            if kind in _PAIR_KINDS:
+                self._flag(
+                    code="footprint", uid=uids[i], gate_index=gate_index,
+                    message=(
+                        f"{kind} op {uids[i]} must carry an (origin, dest) "
+                        f"cell pair, has {len(ctable[crows[i]])}"
+                    ),
+                )
                 continue
-            if op.kind != "gate":
-                continue
-            needs_cell = op.name in _CELL_REQUIRED
-            if not needs_cell and dag is not None and op.gate_index is not None:
-                if 0 <= op.gate_index < len(dag.nodes):
-                    gate = dag.node(op.gate_index).gate
+            # a gate locking no cell
+            row = nrows[i]
+            needs_cell = name_needs.get(row)
+            if needs_cell is None:
+                needs_cell = name_needs[row] = ntable[row] in _CELL_REQUIRED
+            if not needs_cell and dag is not None and gate_index is not None:
+                if 0 <= gate_index < len(dag.nodes):
+                    gate = dag.node(gate_index).gate
                     # a T-like rotation consumes a magic state per op, so
                     # each of its consume ops must lock a drop cell
                     needs_cell = gate.is_t_like and gate.name != g.SWAP
-            if needs_cell and not op.cells:
+            if needs_cell:
                 self._flag(
-                    code="footprint", uid=op.uid, gate_index=op.gate_index,
+                    code="footprint", uid=uids[i], gate_index=gate_index,
                     message=(
-                        f"gate op {op.uid} ({op.name}) locks no cell but "
+                        f"gate op {uids[i]} ({ntable[row]}) locks no cell but "
                         f"requires an ancilla/drop footprint"
                     ),
                 )
-        self.report.checks["footprint"] = checked
+        self.report.checks["footprint"] = len(uids)
 
     # -- resource exclusivity ------------------------------------------------
 
     def check_timelines(self) -> None:
         """Per-qubit: ops in schedule order, never overlapping in time."""
-        last: Dict[int, ScheduledOp] = {}
-        intervals = 0
-        for op in self.schedule.ops:
-            for qubit in op.qubits:
-                prev = last.get(qubit)
-                if prev is not None and op.start + self.eps < prev.end:
-                    self._flag(
-                        code="timeline", uid=op.uid, other_uid=prev.uid,
-                        qubit=qubit, time=op.start, gate_index=op.gate_index,
-                        message=(
-                            f"qubit {qubit} double-booked: op {op.uid} "
-                            f"starts at {op.start} before op {prev.uid} "
-                            f"ends at {prev.end}"
-                        ),
-                    )
-                last[qubit] = op
-                intervals += 1
-        self.report.checks["timeline"] = intervals
+        scan = self._scan()
+        qubits = list(scan.qubit_ids)
+        uids, starts, ends = self._uid, self._start, self._end
+        for i, qubit, prev in scan.timeline:
+            self._flag(
+                code="timeline", uid=uids[i], other_uid=uids[prev],
+                qubit=qubits[qubit], time=starts[i],
+                gate_index=self._gate_index[i],
+                message=(
+                    f"qubit {qubits[qubit]} double-booked: op {uids[i]} "
+                    f"starts at {starts[i]} before op {uids[prev]} "
+                    f"ends at {ends[prev]}"
+                ),
+            )
+        qtable, qrows = self._qubits
+        self.report.checks["timeline"] = sum(map(list(map(len, qtable)).__getitem__, qrows))
 
     def check_cell_conflicts(self) -> None:
         """Per-cell: resource footprints never overlap in time."""
+        scan = self._scan()
+        if scan.cells_in_order and self.eps >= 0 and self._all_finite():
+            self.report.checks["cell-conflict"] = scan.cell_intervals
+            return
+        ctable, crows = self._cells
         by_cell: Dict[Position, List[Tuple[float, float, int]]] = {}
-        for op in self.schedule.ops:
-            if op.duration <= 0:
+        for kind, cells, start, end, uid, duration in zip(
+            map(self._kind[0].__getitem__, self._kind[1]),
+            map(ctable.__getitem__, crows), self._start, self._end,
+            self._uid, self._duration,
+        ):
+            if duration <= 0:
                 continue
-            for cell in op.resource_cells():
-                by_cell.setdefault(cell, []).append((op.start, op.end, op.uid))
+            for cell in resource_cells(kind, cells):
+                by_cell.setdefault(cell, []).append((start, end, uid))
         intervals = 0
         for cell, spans in by_cell.items():
             spans.sort()
@@ -265,17 +473,18 @@ class ScheduleValidator:
 
     def check_min_start(self) -> None:
         """External release times (``min_start`` floors) are honoured."""
-        for op in self.schedule.ops:
-            if op.start + self.eps < op.min_start:
-                self._flag(
-                    code="min-start", uid=op.uid, time=op.start,
-                    gate_index=op.gate_index,
-                    message=(
-                        f"op {op.uid} starts at {op.start} before its "
-                        f"release time {op.min_start}"
-                    ),
-                )
-        self.report.checks["min-start"] = len(self.schedule.ops)
+        uids, starts, min_starts = self._uid, self._start, self._min_start
+        early = map(lt, map(add, starts, repeat(self.eps)), min_starts)
+        for i in compress(count(), early):
+            self._flag(
+                code="min-start", uid=uids[i], time=starts[i],
+                gate_index=self._gate_index[i],
+                message=(
+                    f"op {uids[i]} starts at {starts[i]} before its "
+                    f"release time {min_starts[i]}"
+                ),
+            )
+        self.report.checks["min-start"] = len(uids)
 
     # -- program order -------------------------------------------------------
 
@@ -289,27 +498,16 @@ class ScheduleValidator:
         successor node may start before the predecessor node has fully
         finished.
         """
-        ops_by_node: Dict[int, List[ScheduledOp]] = {}
-        for op in self.schedule.ops:
-            if op.gate_index is None:
-                self._flag(
-                    code="coverage", uid=op.uid,
-                    message=f"op {op.uid} carries no gate index",
-                )
-                continue
-            if not 0 <= op.gate_index < len(dag.nodes):
-                self._flag(
-                    code="coverage", uid=op.uid, gate_index=op.gate_index,
-                    message=(
-                        f"op {op.uid} references gate {op.gate_index} "
-                        f"outside the DAG ({len(dag.nodes)} nodes)"
-                    ),
-                )
-                continue
-            ops_by_node.setdefault(op.gate_index, []).append(op)
-
-        for node in dag.nodes:
-            if node.index not in ops_by_node:
+        nodes, gate_indices = dag.nodes, self._gate_index
+        # a packed column holds ints only, so its extremes tell; anything
+        # else (None, a float) is looked at op by op
+        if not self._int_gates or gate_indices and (
+            min(gate_indices) < 0 or max(gate_indices) >= len(nodes)
+        ):
+            self._walk_gate_indices(len(nodes))
+        present = set(gate_indices)
+        for node in nodes:
+            if node.index not in present:
                 self._flag(
                     code="coverage", gate_index=node.index,
                     message=(
@@ -318,62 +516,101 @@ class ScheduleValidator:
                     ),
                 )
 
+        scan = self._scan()
+        wire_first, wire_end = scan.wire_first, scan.wire_end
+        qubit_ids, gate_ids, stride = scan.qubit_ids, scan.gate_ids, scan.stride
+        starts, uids = self._start, self._uid
+        by_node = self._node_spans({
+            index
+            for node in nodes if node.barrier_predecessors
+            for index in (node.index, *node.barrier_predecessors)
+        })
+        eps = self.eps
         edges = 0
-        for node in dag.nodes:
-            node_ops = ops_by_node.get(node.index)
-            if not node_ops:
+        for node in nodes:
+            index = node.index
+            if index not in present or not node.predecessors:
                 continue
+            node_key = (index if gate_ids is None else gate_ids[index]) * stride
+            node_qubits = set(node.gate.qubits)
+            barrier_predecessors = node.barrier_predecessors
             for pred_index in node.predecessors:
-                pred_ops = ops_by_node.get(pred_index)
-                if not pred_ops:
+                if pred_index not in present:
                     continue
                 edges += 1
-                if pred_index in node.barrier_predecessors:
-                    self._check_barrier_edge(dag, pred_index, pred_ops, node, node_ops)
-                else:
-                    self._check_wire_edge(dag, pred_index, pred_ops, node, node_ops)
+                if pred_index in barrier_predecessors:
+                    node_start, first_uid, _ = by_node[index]
+                    pred_end = by_node[pred_index][2]
+                    if node_start + eps < pred_end:
+                        self._flag(
+                            code="barrier", uid=first_uid, gate_index=index,
+                            time=node_start,
+                            message=(
+                                f"gate {index} starts at {node_start}, crossing "
+                                f"the barrier behind gate {pred_index} "
+                                f"(finishes at {pred_end})"
+                            ),
+                        )
+                    continue
+                pred_key = (
+                    pred_index if gate_ids is None else gate_ids[pred_index]
+                ) * stride
+                for qubit in node_qubits & set(nodes[pred_index].gate.qubits):
+                    dense = qubit_ids.get(qubit)
+                    if dense is None:
+                        continue
+                    pred_end = wire_end.get(pred_key + dense)
+                    first = wire_first.get(node_key + dense)
+                    if pred_end is None or first is None:
+                        continue
+                    node_start = starts[first]
+                    if node_start + eps < pred_end:
+                        self._flag(
+                            code="dependency", uid=uids[first], qubit=qubit,
+                            gate_index=index, time=node_start,
+                            message=(
+                                f"gate {index} runs on qubit {qubit} at "
+                                f"{node_start}, before predecessor gate "
+                                f"{pred_index} finishes at {pred_end}"
+                            ),
+                        )
         self.report.checks["dependency"] = edges
 
-    def _check_wire_edge(self, dag, pred_index, pred_ops, node, node_ops) -> None:
-        shared = set(node.qubits) & set(dag.node(pred_index).qubits)
-        for qubit in shared:
-            pred_end = max(
-                (op.end for op in pred_ops if qubit in op.qubits), default=None
-            )
-            node_start = min(
-                (op.start for op in node_ops if qubit in op.qubits), default=None
-            )
-            if pred_end is None or node_start is None:
-                continue
-            if node_start + self.eps < pred_end:
-                first = min(
-                    (op for op in node_ops if qubit in op.qubits),
-                    key=lambda op: op.start,
-                )
+    def _walk_gate_indices(self, num_nodes: int) -> None:
+        for uid, gate_index in zip(self._uid, self._gate_index):
+            if gate_index is None:
                 self._flag(
-                    code="dependency", uid=first.uid, qubit=qubit,
-                    gate_index=node.index, time=node_start,
+                    code="coverage", uid=uid,
+                    message=f"op {uid} carries no gate index",
+                )
+            elif not 0 <= gate_index < num_nodes:
+                self._flag(
+                    code="coverage", uid=uid, gate_index=gate_index,
                     message=(
-                        f"gate {node.index} runs on qubit {qubit} at "
-                        f"{node_start}, before predecessor gate "
-                        f"{pred_index} finishes at {pred_end}"
+                        f"op {uid} references gate {gate_index} "
+                        f"outside the DAG ({num_nodes} nodes)"
                     ),
                 )
 
-    def _check_barrier_edge(self, dag, pred_index, pred_ops, node, node_ops) -> None:
-        pred_end = max(op.end for op in pred_ops)
-        node_start = min(op.start for op in node_ops)
-        if node_start + self.eps < pred_end:
-            first = min(node_ops, key=lambda op: op.start)
-            self._flag(
-                code="barrier", uid=first.uid, gate_index=node.index,
-                time=node_start,
-                message=(
-                    f"gate {node.index} starts at {node_start}, crossing "
-                    f"the barrier behind gate {pred_index} "
-                    f"(finishes at {pred_end})"
-                ),
-            )
+    def _node_spans(self, wanted: set) -> Dict[object, list]:
+        """Gate index in ``wanted`` -> [earliest start, uid of the first op
+        there, latest end] over all its ops, folded in op order."""
+        spans: Dict[object, list] = {}
+        if not wanted:
+            return spans
+        for gate_index, start, uid, end in compress(
+            zip(self._gate_index, self._start, self._uid, self._end),
+            map(wanted.__contains__, self._gate_index),
+        ):
+            span = spans.get(gate_index)
+            if span is None:
+                spans[gate_index] = [start, uid, end]
+                continue
+            if start < span[0]:
+                span[0], span[1] = start, uid
+            if end > span[2]:
+                span[2] = end
+        return spans
 
     # -- magic-state accounting ----------------------------------------------
 
@@ -394,38 +631,43 @@ class ScheduleValidator:
         consumed before its round completes, or one distilled state consumed
         by two gates, compresses the sequence below the bound and is caught.
         """
-        consumes: Dict[int, List[ScheduledOp]] = {}
+        ntable, nrows = self._note
+        uids, starts, gate_indices = self._uid, self._start, self._gate_index
+        factories = list(map(magic_factory, ntable))
+        tagged = [factory is not None for factory in factories]
+        untagged = [False] * len(ntable)
+        consumes: Dict[int, List[int]] = {}
         total = 0
-        for op in self.schedule.ops:
-            if op.kind != "gate":
-                continue
-            factory = op.magic_factory()
-            if factory is None:
-                continue
+        for i in compress(count(), self._by_kind(
+            self._note, lambda kind: tagged if kind == "gate" else untagged
+        )):
+            factory = factories[nrows[i]]
             total += 1
             if factory not in distill_times:
                 self._flag(
-                    code="magic-count", uid=op.uid, gate_index=op.gate_index,
+                    code="magic-count", uid=uids[i], gate_index=gate_indices[i],
                     message=(
-                        f"op {op.uid} consumes a state from unknown "
+                        f"op {uids[i]} consumes a state from unknown "
                         f"factory f{factory}"
                     ),
                 )
                 continue
-            consumes.setdefault(factory, []).append(op)
+            consumes.setdefault(factory, []).append(i)
 
+        eps = self.eps
         for factory, ops in sorted(consumes.items()):
             distill = distill_times[factory]
-            ordered = sorted(ops, key=lambda op: (op.start, op.uid))
-            for k, op in enumerate(ordered, start=1):
+            ops.sort(key=lambda i: (starts[i], uids[i]))
+            for k, i in enumerate(ops, start=1):
                 floor = k * distill
-                if op.start + self.eps < floor:
+                start = starts[i]
+                if start + eps < floor:
                     self._flag(
-                        code="magic-pipeline", uid=op.uid, time=op.start,
-                        gate_index=op.gate_index,
+                        code="magic-pipeline", uid=uids[i], time=start,
+                        gate_index=gate_indices[i],
                         message=(
                             f"factory f{factory}: consumption #{k} starts at "
-                            f"{op.start}, before the pipeline can have "
+                            f"{start}, before the pipeline can have "
                             f"produced {k} states ({floor})"
                         ),
                     )

@@ -21,7 +21,9 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.perf import bench_cases
 from repro.scheduling.events import Schedule, ScheduledOp
-from repro.service import protocol
+from repro.service import CachePeerThread, RemoteCache, protocol
+from repro.sweep import CompileCache, SweepEngine, job_key
+from repro.verify import validate_result
 from repro.workloads import load_benchmark
 
 
@@ -29,15 +31,29 @@ def _canonical(result):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-@pytest.fixture(scope="module")
-def fast_matrix():
+def _fast_cases():
     return [
-        FaultTolerantCompiler(
+        (
+            load_benchmark(case.workload),
             CompilerConfig(
                 routing_paths=case.routing_paths, num_factories=case.num_factories
-            )
-        ).compile(load_benchmark(case.workload))
+            ),
+        )
         for case in bench_cases(fast=True)
+    ]
+
+
+@pytest.fixture(scope="module")
+def fast_inputs():
+    """``(circuit, config)`` per fast-matrix case."""
+    return _fast_cases()
+
+
+@pytest.fixture(scope="module")
+def fast_matrix(fast_inputs):
+    return [
+        FaultTolerantCompiler(config).compile(circuit)
+        for circuit, config in fast_inputs
     ]
 
 
@@ -146,6 +162,39 @@ class TestOpsBuiltOnFirstTouch:
             assert not decoded.schedule.built
         assert constructions == []
 
+    def test_replay_validation_builds_no_op(
+        self, fast_inputs, fast_matrix, constructions
+    ):
+        blobs = [codec.encode(result) for result in fast_matrix]
+        constructions.clear()
+        for blob, (circuit, config) in zip(blobs, fast_inputs):
+            decoded = codec.decode(blob)
+            report = validate_result(decoded, circuit, config)
+            assert report.ok, report.summary()
+            assert report.ops_checked == len(decoded.schedule) > 0
+            assert not decoded.schedule.built
+        assert constructions == []
+
+    def test_remote_hit_builds_no_op_and_promotes_the_peer_bytes(
+        self, tmp_path, fast_inputs, fast_matrix, constructions
+    ):
+        (circuit, config), result = fast_inputs[-1], fast_matrix[-1]
+        key = job_key(circuit, config)
+        peer_cache = CompileCache(tmp_path / "peer")
+        peer_cache.put(key, codec.encode(result))
+        with CachePeerThread(cache=peer_cache) as peer:
+            disk = CompileCache(tmp_path / "local")
+            engine = SweepEngine(cache=disk, remote=RemoteCache(*peer.address))
+            constructions.clear()
+            hit = engine.compile(circuit, config)
+            engine.shutdown()
+        assert constructions == []
+        assert engine.counters.remote_hits == 1
+        assert engine.counters.compiled == 0
+        assert not hit.schedule.built
+        assert hit.fingerprint() == result.fingerprint()
+        assert disk.get(key) == peer_cache.get(key) == codec.encode(result)
+
     def test_first_access_builds_every_op_once(self, result, constructions):
         decoded = codec.decode(codec.encode(result))
         lazy = decoded.fingerprint()
@@ -162,7 +211,7 @@ class TestOpsBuiltOnFirstTouch:
         first, second, *rest = result.schedule.ops
         odd = [
             dataclasses.replace(first, start=-1, duration=0),  # ints, end < 0
-            dataclasses.replace(second, kind=["move"]),  # an unhashable kind
+            dataclasses.replace(second, qubits=[1, 2]),  # a list: "j" column
             *rest,
         ]
         for ops in (odd, odd[:2], [odd[0]], []):
@@ -291,3 +340,66 @@ class TestRejects:
         raw[-4:] = (2**32 - 1).to_bytes(4, "little")  # last note index
         with pytest.raises(codec.CodecError):
             codec.decode(_blob(zlib.compress(bytes(raw))))
+
+
+#: a value of the wrong type for each op field (a bool is neither an int
+#: nor a float; a cell is a pair of ints; an int time fits a float).
+MISTYPED = [
+    ("uid", "1"), ("uid", 1.5), ("uid", True), ("uid", None),
+    ("kind", 1), ("kind", None), ("kind", ["gate"]), ("kind", True),
+    ("name", 2), ("name", None),
+    ("qubits", (1, "a")), ("qubits", (1.5,)), ("qubits", (True,)), ("qubits", 5),
+    ("qubits", [[1]]),
+    ("cells", ((1, 2, 3),)), ("cells", ((1,),)), ("cells", ((1, "a"),)),
+    ("cells", [[1, [2]]]), ("cells", ((True, 1),)), ("cells", ("ab",)),
+    ("start", "x"), ("start", True), ("start", None), ("start", [1.0]),
+    ("start", 10**400), ("duration", "1"), ("duration", False),
+    ("min_start", "0"), ("min_start", None),
+    ("gate_index", "x"), ("gate_index", 1.5), ("gate_index", True),
+    ("note", 1), ("note", None), ("note", ["a"]),
+]
+
+
+class TestMistypedValues:
+    """Decode checks each table and ``j`` value against its field's type."""
+
+    @pytest.mark.parametrize("field,value", MISTYPED, ids=lambda v: repr(v))
+    def test_rejected_at_decode(self, result, field, value):
+        first, *rest = result.schedule.ops
+        bad = _with_ops(result, [dataclasses.replace(first, **{field: value}), *rest])
+        with pytest.raises(codec.CodecError, match="wrong type|malformed"):
+            codec.decode(codec.encode(bad))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("gate_index", "x"), ("start", "x"), ("cells", [[1, [2]]])],
+    )
+    def test_a_live_peer_entry_is_rejected_and_compiled_locally(
+        self, tmp_path, fast_inputs, fast_matrix, field, value
+    ):
+        (circuit, config), result = fast_inputs[0], fast_matrix[0]
+        key = job_key(circuit, config)
+        first, *rest = result.schedule.ops
+        bad = _with_ops(result, [dataclasses.replace(first, **{field: value}), *rest])
+        peer_cache = CompileCache(tmp_path / "peer")
+        peer_cache.put(key, codec.encode(bad))  # the checksum holds
+        with CachePeerThread(cache=peer_cache) as peer:
+            engine = SweepEngine(
+                cache=CompileCache(tmp_path / "local"),
+                remote=RemoteCache(*peer.address),
+            )
+            fresh = engine.compile(circuit, config)
+            tiers = engine.tier_stats()
+            engine.shutdown()
+        assert fresh.fingerprint() == result.fingerprint()
+        assert engine.counters.compiled == 1
+        assert tiers["remote"]["rejected"] == 1
+        assert tiers["remote"]["corrupt"] == 0
+
+    def test_ints_and_floats_mix_in_a_time_column(self, fast_inputs, result):
+        first, *rest = result.schedule.ops
+        mixed = _with_ops(result, [dataclasses.replace(first, start=0), *rest])
+        decoded = codec.decode(codec.encode(mixed))
+        assert _canonical(decoded) == _canonical(mixed)
+        circuit, config = fast_inputs[0]
+        assert validate_result(decoded, circuit, config).ok

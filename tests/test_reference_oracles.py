@@ -1,14 +1,17 @@
 """The compiler's hot loops against slow, obviously-correct references.
 
 Routing, reachability, redundant-move detection and the validator's
-interval checks run on flat arrays, caches and single-pass sweeps.  Each
-test here rebuilds the same answer the naive way — a BFS or Dijkstra over
+checks run on flat arrays, caches and single-pass sweeps.  Each test here
+rebuilds the same answer the naive way — a BFS or Dijkstra over
 ``(row, col)`` tuples, a pairwise interval scan, a replay of qubit
-positions — on seeded random inputs and compiled schedules, and demands
-the fast path agree.
+positions, an op-by-op walk over :class:`ScheduledOp` objects — on seeded
+random inputs and compiled schedules, and demands the fast path agree.
 """
 
+import dataclasses
 import heapq
+import json
+import math
 import random
 from collections import deque
 from dataclasses import replace
@@ -16,7 +19,13 @@ from dataclasses import replace
 import pytest
 
 from repro.arch.grid import CellRole, Grid
-from repro.compiler import CompilerConfig, FaultTolerantCompiler
+from repro.compiler import CompilerConfig, FaultTolerantCompiler, codec
+from repro.fuzz import load_artifact
+from repro.fuzz.artifact import corpus_paths
+from repro.ir import gates as g
+from repro.ir.circuit import Circuit
+from repro.ir.dag import DagCircuit
+from repro.perf import bench_cases
 from repro.routing.dijkstra import (
     NoPathError,
     RoutingRequest,
@@ -31,8 +40,15 @@ from repro.scheduling.redundant_moves import (
     eliminate_redundant_moves,
     find_redundant_pairs,
 )
-from repro.verify.validator import EPS, ScheduleValidator
-from repro.workloads import ising_2d
+from repro.verify import MUTATIONS, ValidationReport, Violation
+from repro.verify.mutations import MutationContext
+from repro.verify.validator import (
+    EPS,
+    ScheduleValidator,
+    config_distill_times,
+    validate_schedule,
+)
+from repro.workloads import ising_2d, load_benchmark
 
 ROUTABLE = (CellRole.BUS, CellRole.DATA, CellRole.PORT)
 PARKABLE = (CellRole.BUS, CellRole.DATA)
@@ -650,3 +666,551 @@ class TestValidatorReference:
             got = [v.uid for v in flagged(run_interval_checks(schedule),
                                           "min-start")]
             assert got == want, f"trial {trial}"
+
+
+# -- the validator against an op-by-op walk ----------------------------------
+
+
+_REF_CELL_REQUIRED = frozenset({g.H, g.SX, g.SXDG, g.CX, g.CZ, g.T, g.TDG})
+_REF_MAGIC_PREFIX = "magic-state from f"
+
+
+def _ref_resource_cells(op):
+    if op.kind in ("move", "evict", "restore") and len(op.cells) == 2:
+        return op.cells[1:]
+    return op.cells
+
+
+def _ref_magic_factory(op):
+    if not op.note.startswith(_REF_MAGIC_PREFIX):
+        return None
+    try:
+        return int(op.note[len(_REF_MAGIC_PREFIX):])
+    except ValueError:
+        return None
+
+
+class ReferenceValidator:
+    """The replay validator as an op-by-op walk over ``schedule.ops``: each
+    check loops over the :class:`ScheduledOp` objects on its own.  The
+    columnar validator must produce the same report, violation for
+    violation and count for count."""
+
+    def __init__(self, schedule, eps=EPS, label=""):
+        self.ops = schedule.ops
+        self.eps = eps
+        self.report = ValidationReport(label=label, ops_checked=len(self.ops))
+
+    def _flag(self, **kwargs):
+        self.report.add(Violation(**kwargs))
+
+    def check_structure(self):
+        prev_uid = None
+        for op in self.ops:
+            if prev_uid is not None and op.uid <= prev_uid:
+                self._flag(
+                    code="structure", uid=op.uid, other_uid=prev_uid,
+                    message=f"op uid {op.uid} not increasing after {prev_uid}",
+                )
+            prev_uid = op.uid
+            if not all(
+                math.isfinite(t) for t in (op.start, op.duration, op.min_start)
+            ):
+                self._flag(
+                    code="structure", uid=op.uid,
+                    message=(
+                        f"op {op.uid} has non-finite times "
+                        f"(start={op.start}, duration={op.duration}, "
+                        f"min_start={op.min_start})"
+                    ),
+                )
+                continue
+            if op.start < -self.eps:
+                self._flag(
+                    code="structure", uid=op.uid, time=op.start,
+                    message=f"op {op.uid} starts before t=0 ({op.start})",
+                )
+            if op.duration < 0:
+                self._flag(
+                    code="structure", uid=op.uid,
+                    message=f"op {op.uid} has negative duration {op.duration}",
+                )
+        self.report.checks["structure"] = len(self.ops)
+
+    def check_footprints(self, dag=None):
+        checked = 0
+        for op in self.ops:
+            checked += 1
+            if op.kind in ("move", "evict", "restore", "route"):
+                if len(op.cells) != 2:
+                    self._flag(
+                        code="footprint", uid=op.uid, gate_index=op.gate_index,
+                        message=(
+                            f"{op.kind} op {op.uid} must carry an "
+                            f"(origin, dest) cell pair, has {len(op.cells)}"
+                        ),
+                    )
+                continue
+            if op.kind != "gate":
+                continue
+            needs_cell = op.name in _REF_CELL_REQUIRED
+            if not needs_cell and dag is not None and op.gate_index is not None:
+                if 0 <= op.gate_index < len(dag.nodes):
+                    gate = dag.node(op.gate_index).gate
+                    needs_cell = gate.is_t_like and gate.name != g.SWAP
+            if needs_cell and not op.cells:
+                self._flag(
+                    code="footprint", uid=op.uid, gate_index=op.gate_index,
+                    message=(
+                        f"gate op {op.uid} ({op.name}) locks no cell but "
+                        f"requires an ancilla/drop footprint"
+                    ),
+                )
+        self.report.checks["footprint"] = checked
+
+    def check_timelines(self):
+        last = {}
+        intervals = 0
+        for op in self.ops:
+            for qubit in op.qubits:
+                prev = last.get(qubit)
+                if prev is not None and op.start + self.eps < prev.end:
+                    self._flag(
+                        code="timeline", uid=op.uid, other_uid=prev.uid,
+                        qubit=qubit, time=op.start, gate_index=op.gate_index,
+                        message=(
+                            f"qubit {qubit} double-booked: op {op.uid} "
+                            f"starts at {op.start} before op {prev.uid} "
+                            f"ends at {prev.end}"
+                        ),
+                    )
+                last[qubit] = op
+                intervals += 1
+        self.report.checks["timeline"] = intervals
+
+    def check_cell_conflicts(self):
+        by_cell = {}
+        for op in self.ops:
+            if op.duration <= 0:
+                continue
+            for cell in _ref_resource_cells(op):
+                by_cell.setdefault(cell, []).append((op.start, op.end, op.uid))
+        intervals = 0
+        for cell, spans in by_cell.items():
+            spans.sort()
+            intervals += len(spans)
+            prev_end, prev_uid = -float("inf"), -1
+            for start, end, uid in spans:
+                if start + self.eps < prev_end:
+                    self._flag(
+                        code="cell-conflict", uid=uid, other_uid=prev_uid,
+                        cell=cell, time=start,
+                        message=(
+                            f"cell {cell} locked twice: op {uid} starts at "
+                            f"{start} before op {prev_uid} releases at {prev_end}"
+                        ),
+                    )
+                if end > prev_end:
+                    prev_end, prev_uid = end, uid
+        self.report.checks["cell-conflict"] = intervals
+
+    def check_min_start(self):
+        for op in self.ops:
+            if op.start + self.eps < op.min_start:
+                self._flag(
+                    code="min-start", uid=op.uid, time=op.start,
+                    gate_index=op.gate_index,
+                    message=(
+                        f"op {op.uid} starts at {op.start} before its "
+                        f"release time {op.min_start}"
+                    ),
+                )
+        self.report.checks["min-start"] = len(self.ops)
+
+    def check_dependencies(self, dag):
+        ops_by_node = {}
+        for op in self.ops:
+            if op.gate_index is None:
+                self._flag(
+                    code="coverage", uid=op.uid,
+                    message=f"op {op.uid} carries no gate index",
+                )
+                continue
+            if not 0 <= op.gate_index < len(dag.nodes):
+                self._flag(
+                    code="coverage", uid=op.uid, gate_index=op.gate_index,
+                    message=(
+                        f"op {op.uid} references gate {op.gate_index} "
+                        f"outside the DAG ({len(dag.nodes)} nodes)"
+                    ),
+                )
+                continue
+            ops_by_node.setdefault(op.gate_index, []).append(op)
+        for node in dag.nodes:
+            if node.index not in ops_by_node:
+                self._flag(
+                    code="coverage", gate_index=node.index,
+                    message=(
+                        f"DAG node {node.index} ({node.gate}) produced no "
+                        f"scheduled op"
+                    ),
+                )
+        edges = 0
+        for node in dag.nodes:
+            node_ops = ops_by_node.get(node.index)
+            if not node_ops:
+                continue
+            for pred_index in node.predecessors:
+                pred_ops = ops_by_node.get(pred_index)
+                if not pred_ops:
+                    continue
+                edges += 1
+                if pred_index in node.barrier_predecessors:
+                    self._barrier_edge(pred_index, pred_ops, node, node_ops)
+                else:
+                    self._wire_edge(dag, pred_index, pred_ops, node, node_ops)
+        self.report.checks["dependency"] = edges
+
+    def _wire_edge(self, dag, pred_index, pred_ops, node, node_ops):
+        shared = set(node.qubits) & set(dag.node(pred_index).qubits)
+        for qubit in shared:
+            pred_end = max(
+                (op.end for op in pred_ops if qubit in op.qubits), default=None
+            )
+            node_start = min(
+                (op.start for op in node_ops if qubit in op.qubits), default=None
+            )
+            if pred_end is None or node_start is None:
+                continue
+            if node_start + self.eps < pred_end:
+                first = min(
+                    (op for op in node_ops if qubit in op.qubits),
+                    key=lambda op: op.start,
+                )
+                self._flag(
+                    code="dependency", uid=first.uid, qubit=qubit,
+                    gate_index=node.index, time=node_start,
+                    message=(
+                        f"gate {node.index} runs on qubit {qubit} at "
+                        f"{node_start}, before predecessor gate "
+                        f"{pred_index} finishes at {pred_end}"
+                    ),
+                )
+
+    def _barrier_edge(self, pred_index, pred_ops, node, node_ops):
+        pred_end = max(op.end for op in pred_ops)
+        node_start = min(op.start for op in node_ops)
+        if node_start + self.eps < pred_end:
+            first = min(node_ops, key=lambda op: op.start)
+            self._flag(
+                code="barrier", uid=first.uid, gate_index=node.index,
+                time=node_start,
+                message=(
+                    f"gate {node.index} starts at {node_start}, crossing "
+                    f"the barrier behind gate {pred_index} "
+                    f"(finishes at {pred_end})"
+                ),
+            )
+
+    def check_magic_states(self, distill_times, expected_t_states=None):
+        consumes = {}
+        total = 0
+        for op in self.ops:
+            if op.kind != "gate":
+                continue
+            factory = _ref_magic_factory(op)
+            if factory is None:
+                continue
+            total += 1
+            if factory not in distill_times:
+                self._flag(
+                    code="magic-count", uid=op.uid, gate_index=op.gate_index,
+                    message=(
+                        f"op {op.uid} consumes a state from unknown "
+                        f"factory f{factory}"
+                    ),
+                )
+                continue
+            consumes.setdefault(factory, []).append(op)
+        for factory, ops in sorted(consumes.items()):
+            distill = distill_times[factory]
+            ordered = sorted(ops, key=lambda op: (op.start, op.uid))
+            for k, op in enumerate(ordered, start=1):
+                floor = k * distill
+                if op.start + self.eps < floor:
+                    self._flag(
+                        code="magic-pipeline", uid=op.uid, time=op.start,
+                        gate_index=op.gate_index,
+                        message=(
+                            f"factory f{factory}: consumption #{k} starts at "
+                            f"{op.start}, before the pipeline can have "
+                            f"produced {k} states ({floor})"
+                        ),
+                    )
+        if expected_t_states is not None and total != expected_t_states:
+            self._flag(
+                code="magic-count",
+                message=(
+                    f"{total} magic-state consumption(s) scheduled but the "
+                    f"circuit requires {expected_t_states}"
+                ),
+            )
+        self.report.checks["magic-state"] = total
+
+
+def reference_validate(schedule, dag, distill_times, expected_t_states, eps=EPS):
+    """:func:`validate_schedule`'s order of checks over the op-by-op walk."""
+    reference = ReferenceValidator(schedule, eps=eps)
+    reference.check_structure()
+    reference.check_footprints(dag=dag)
+    reference.check_timelines()
+    reference.check_cell_conflicts()
+    reference.check_min_start()
+    reference.check_dependencies(dag)
+    reference.check_magic_states(distill_times, expected_t_states)
+    return reference.report
+
+
+def _report_text(report):
+    # NaN times compare unequal to themselves; their JSON text does not
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def _decoded(result, schedule):
+    """``schedule`` after encode -> decode: the table and ``j`` columns."""
+    decoded = codec.decode(codec.encode(dataclasses.replace(result, schedule=schedule)))
+    assert not decoded.schedule.built
+    return decoded.schedule
+
+
+class Case:
+    """A compiled result with everything a validation of it needs."""
+
+    def __init__(self, name, circuit, config):
+        self.name = name
+        self.circuit = circuit
+        self.result = FaultTolerantCompiler(config).compile(circuit)
+        self.dag = DagCircuit(circuit)
+        self.distill_times = config_distill_times(config)
+
+    def assert_same_report(self, schedule, what, eps=EPS):
+        return assert_same_report(
+            self.result, schedule, self.dag, self.distill_times,
+            f"{self.name}: {what}", eps,
+        )
+
+
+def assert_same_report(result, schedule, dag, distill_times, what, eps=EPS):
+    """The validator's report on ``schedule`` and on its decoded copy
+    equals the op-by-op walk's; returns that report as a dict."""
+    expected = _report_text(reference_validate(
+        schedule, dag, distill_times, result.t_states, eps=eps,
+    ))
+    for form, candidate in (
+        ("built", schedule), ("decoded", _decoded(result, schedule)),
+    ):
+        got = validate_schedule(
+            candidate, dag=dag, distill_times=distill_times,
+            expected_t_states=result.t_states, eps=eps,
+        )
+        assert _report_text(got) == expected, f"{what} ({form})"
+        assert form == "built" or not candidate.built
+    return json.loads(expected)
+
+
+def _barriered():
+    circuit = Circuit(4, name="barriered")
+    circuit.h(0).cx(0, 1).t(1).t(0)
+    circuit.barrier()
+    circuit.h(2).cx(2, 3).t(3)
+    return circuit
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    cases = [
+        Case(
+            f"{case.workload}/r{case.routing_paths}/f{case.num_factories}",
+            load_benchmark(case.workload),
+            CompilerConfig(
+                routing_paths=case.routing_paths, num_factories=case.num_factories
+            ),
+        )
+        for case in bench_cases(fast=True)
+    ]
+    cases.append(Case("barriered", _barriered(), CompilerConfig(routing_paths=3)))
+    return cases
+
+
+def perturb(rng, case, ops):
+    """One seeded corruption of ``ops`` (a list, changed in place)."""
+    if not ops:
+        return
+    k = rng.randrange(len(ops))
+    op = ops[k]
+    cell = (rng.randrange(-1, 6), rng.randrange(-1, 6))
+    roll = rng.randrange(15)
+    if roll == 0:
+        field = rng.choice(("start", "duration", "min_start"))
+        value = rng.choice((math.nan, math.inf, -math.inf, float("nan")))
+        ops[k] = replace(op, **{field: value})
+    elif roll == 1:
+        ops[k] = replace(op, start=-rng.choice((0.5, 3.0, 1e-9)))
+    elif roll == 2:
+        qubit = rng.choice((
+            case.circuit.num_qubits, case.circuit.num_qubits + 7, -1, -3,
+        ))
+        ops[k] = replace(op, qubits=(*op.qubits, qubit)[-2:])
+    elif roll == 3:
+        index = rng.choice((None, len(case.dag.nodes), len(case.dag.nodes) + 9, -2))
+        ops[k] = replace(op, gate_index=index)
+    elif roll == 4:
+        kind = rng.choice(("move", "evict", "restore", "route"))
+        cells = rng.choice(((), (cell,), (cell, cell, cell)))
+        ops[k] = replace(op, kind=kind, cells=cells)
+    elif roll == 5:
+        ops[k] = replace(op, start=op.start + 0.5 * rng.randint(-8, 8),
+                         duration=op.duration * rng.randint(1, 5))
+    elif roll == 6:
+        ops[k] = replace(op, uid=ops[rng.randrange(len(ops))].uid)
+    elif roll == 7:
+        ops[k] = replace(op, note=rng.choice(
+            ("magic-state from f99", "magic-state from f0", "magic-state from fx",
+             "magic-state from f-1")), kind="gate")
+    elif roll == 8:
+        del ops[k]
+    elif roll == 9:
+        ops.insert(rng.randrange(len(ops) + 1), op)  # one op object, twice
+    elif roll == 10:
+        ops[k] = replace(op, duration=rng.choice((0.0, -1.0, 0)))
+    elif roll == 11:
+        ops[k] = replace(op, cells=(*op.cells, *op.cells), start=op.start + 1e-7)
+    elif roll == 12:
+        ops[k] = replace(op, start=int(op.start), min_start=op.min_start + 2.5)
+    elif roll == 13:
+        ops[k] = replace(op, kind="gate", name=rng.choice((g.S, g.CX, g.T, g.RZ)),
+                         cells=())
+    else:
+        j = rng.randrange(len(ops))
+        ops[k], ops[j] = ops[j], ops[k]
+
+
+class TestValidatorAgainstOpWalk:
+    """Identical reports from the columnar validator and the op-by-op walk,
+    on built and decoded schedules."""
+
+    def test_compiled_schedules(self, oracle_cases):
+        for case in oracle_cases:
+            report = case.assert_same_report(case.result.schedule, "as compiled")
+            assert report["ok"]
+
+    def test_every_mutation_class(self, oracle_cases):
+        caught = set()
+        for case in oracle_cases:
+            ctx = MutationContext(
+                dag=case.dag, distill_times=case.distill_times,
+                expected_t_states=case.result.t_states,
+            )
+            for name, (mutate, code) in MUTATIONS.items():
+                mutated = mutate(case.result.schedule, ctx)
+                if mutated is None:
+                    continue
+                report = case.assert_same_report(mutated, name)
+                if any(v["code"] == code for v in report["violations"]):
+                    caught.add(name)
+        assert caught == set(MUTATIONS)
+
+    def test_corpus(self):
+        for path in corpus_paths():
+            scenario, _ = load_artifact(path)
+            case = Case(path.stem, scenario.circuit, scenario.config)
+            case.assert_same_report(case.result.schedule, "as compiled")
+
+    def test_seeded_perturbations(self, oracle_cases):
+        rng = random.Random(25)
+        codes = set()
+        for trial in range(240):
+            case = oracle_cases[trial % len(oracle_cases)]
+            ops = list(case.result.schedule.ops)
+            for _ in range(rng.choice((1, 2, 3, 6))):
+                perturb(rng, case, ops)
+            report = case.assert_same_report(Schedule(ops=ops), f"trial {trial}")
+            codes.update(v["code"] for v in report["violations"])
+        assert {"structure", "footprint", "timeline", "cell-conflict",
+                "min-start", "dependency", "coverage", "magic-count",
+                "magic-pipeline"} <= codes
+
+    def test_tolerance_and_empty_schedules(self, oracle_cases):
+        case = oracle_cases[0]
+        rng = random.Random(26)
+        for eps in (0.0, 0.5, -1e-3):
+            ops = list(case.result.schedule.ops)
+            perturb(rng, case, ops)
+            case.assert_same_report(Schedule(ops=ops), f"eps {eps}", eps=eps)
+        case.assert_same_report(Schedule(ops=[]), "empty")
+
+    def test_resource_checks_alone(self, oracle_cases):
+        """``Schedule.validate``'s subset of the checks, one at a time."""
+        rng = random.Random(27)
+        for trial in range(60):
+            case = oracle_cases[trial % len(oracle_cases)]
+            ops = list(case.result.schedule.ops)
+            perturb(rng, case, ops)
+            schedule = Schedule(ops=ops)
+            reference = ReferenceValidator(schedule)
+            validator = ScheduleValidator(_decoded(case.result, schedule))
+            for check in ("check_cell_conflicts", "check_min_start", "check_timelines"):
+                getattr(reference, check)()
+                getattr(validator, check)()
+            assert _report_text(validator.report) == _report_text(reference.report)
+
+    def test_ties_and_near_coincident_spans(self, oracle_cases):
+        """The first op on a tie names a dependency violation, and spans
+        closer than the tolerance sort as the walk sorts them."""
+        circuit = Circuit(2, name="tie")
+        circuit.h(0).cx(0, 1)
+        dag = DagCircuit(circuit)
+        result = oracle_cases[0].result
+
+        def op(uid, kind, qubits, cells, start, duration, gate_index):
+            return ScheduledOp(uid, kind, g.H if kind == "gate" else "move",
+                               qubits, cells, start, duration,
+                               gate_index=gate_index)
+
+        tie = [
+            op(0, "gate", (0,), ((0, 0),), 0.0, 1.0, 0),
+            op(1, "move", (0,), ((0, 0), (0, 1)), 0.5, 0.5, 1),
+            op(2, "gate", (0, 1), ((1, 1),), 0.5, 1.0, 1),
+        ]
+        near = [
+            op(0, "gate", (0,), ((0, 0),), 0.0, 1.0, 0),
+            op(1, "gate", (0, 1), ((1, 1),), 1.0, 1.0, 1),
+            op(2, "gate", (), ((3, 3),), 5.0, 1e-7, 1),
+            op(3, "gate", (), ((3, 3),), 5.0 - 1e-7, 10.0, 1),
+        ]
+        for ops, code in ((tie, "dependency"), (near, "cell-conflict")):
+            report = assert_same_report(result, Schedule(ops=ops), dag, {}, code)
+            assert code in {v["code"] for v in report["violations"]}
+
+        barriered = Circuit(2, name="tie-barrier")
+        barriered.h(0)
+        barriered.barrier()
+        barriered.h(1)
+        tie = [
+            op(0, "gate", (0,), ((0, 0),), 0.0, 2.0, 0),
+            op(1, "move", (1,), ((1, 0), (1, 1)), 1.5, 0.5, 1),
+            op(2, "gate", (1,), ((1, 2),), 1.0, 1.0, 1),
+            op(3, "gate", (1,), ((1, 2),), 1.0, 1.0, 1),
+        ]
+        report = assert_same_report(
+            result, Schedule(ops=tie), DagCircuit(barriered), {}, "barrier",
+        )
+        assert "barrier" in {v["code"] for v in report["violations"]}
+
+        consume = ScheduledOp(5, "gate", g.T, (0,), ((0, 1),), 1.0, 1.0,
+                              gate_index=0, note="magic-state from f0")
+        same_start = [consume, replace(consume, uid=3, qubits=(1,), cells=((2, 2),))]
+        report = assert_same_report(
+            result, Schedule(ops=same_start), dag, {0: 11.0}, "same start",
+        )
+        assert "magic-pipeline" in {v["code"] for v in report["violations"]}
