@@ -121,12 +121,13 @@ def _axis_offsets(side: int, leading: bool, internal: int) -> List[int]:
     return coords
 
 
-def build_layout(num_data: int, routing_paths: int) -> Layout:
-    """Construct the Fig. 3 layout for ``num_data`` qubits and ``r`` paths.
+def routing_plan(num_data: int, routing_paths: int) -> Tuple[int, int, int, int]:
+    """``(side_rows, side_cols, internal_rows, internal_cols)`` for ``r`` paths.
 
     The data block is the smallest near-square rectangle holding
     ``num_data`` qubits (exact ``k x k`` for square counts, the paper's
-    benchmark sizes 4, 16, 36, 64, 100 all are).
+    benchmark sizes 4, 16, 36, 64, 100 all are).  Raises
+    :class:`LayoutError` for every ``(num_data, r)`` with no layout.
     """
     if num_data < 1:
         raise LayoutError("need at least one data qubit")
@@ -144,10 +145,6 @@ def build_layout(num_data: int, routing_paths: int) -> Layout:
 
     # Order of path insertion: top, left, bottom, right, then alternating
     # internal columns / rows.
-    top = routing_paths >= 1
-    left = routing_paths >= 2
-    bottom = routing_paths >= 3
-    right = routing_paths >= 4
     extra = max(0, routing_paths - 4)
     internal_cols = (extra + 1) // 2
     internal_rows = extra // 2
@@ -161,6 +158,21 @@ def build_layout(num_data: int, routing_paths: int) -> Layout:
             raise LayoutError(
                 f"r={routing_paths} unsatisfiable for {side_rows}x{side_cols} data block"
             )
+    return side_rows, side_cols, internal_rows, internal_cols
+
+
+def build_layout(num_data: int, routing_paths: int) -> Layout:
+    """Construct the Fig. 3 layout for ``num_data`` qubits and ``r`` paths.
+
+    Raises :class:`LayoutError` where :func:`routing_plan` does.
+    """
+    side_rows, side_cols, internal_rows, internal_cols = routing_plan(
+        num_data, routing_paths
+    )
+    top = routing_paths >= 1
+    left = routing_paths >= 2
+    bottom = routing_paths >= 3
+    right = routing_paths >= 4
 
     row_coords = _axis_offsets(side_rows, leading=top, internal=internal_rows)
     col_coords = _axis_offsets(side_cols, leading=left, internal=internal_cols)

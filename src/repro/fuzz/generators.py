@@ -54,6 +54,7 @@ from ..arch.layout import (
     build_layout,
     max_routing_paths,
     port_headroom,
+    routing_plan,
 )
 from ..compiler.config import CompilerConfig
 from ..ir import qasm
@@ -205,19 +206,19 @@ def scenario_key(circuit: Circuit, config: CompilerConfig) -> str:
 def feasible_routing_paths(num_qubits: int, requested: int) -> int:
     """The largest satisfiable ``r <= requested`` for this register width.
 
-    ``build_layout`` can reject an ``r`` below the ``2k+2`` bound on
+    ``routing_plan`` can reject an ``r`` below the ``2k+2`` bound on
     non-square data blocks (the internal-line rebalance may not fit), so
-    feasibility is probed constructively.
+    feasibility is probed downward from that bound.
     """
     side = math.ceil(math.sqrt(num_qubits))
     r = min(max(2, requested), max_routing_paths(side))
     while r > 2:
         try:
-            build_layout(num_qubits, r)
+            routing_plan(num_qubits, r)
             return r
         except LayoutError:
             r -= 1
-    build_layout(num_qubits, r)  # r=2 is feasible for every width >= 1
+    routing_plan(num_qubits, r)  # r=2 is feasible for every width >= 1
     return r
 
 

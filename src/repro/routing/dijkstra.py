@@ -7,9 +7,14 @@ multiplies the cost).  Minimising this cost prefers slightly longer paths
 through free bus cells over short paths that would disturb data qubits —
 exactly the behaviour of the paper's Fig. 5.
 
-Implementation: Dijkstra over (cell, crossings-so-far) states with a binary
-heap, keyed by the product cost; since both length and crossings only grow
-along a path the product is monotone and the search remains optimal.
+Implementation: Dijkstra with a binary heap keyed by the product cost,
+keeping one best cost per cell.  The product is not additive (a partial
+route with fewer crossings grows more slowly), so when occupied cells may
+be crossed a returned path can cost more than the optimum;
+``tests/test_reference_oracles.py`` pins a 3x4 grid where it does.  Paths
+are always legal with exact ``cost``, and with crossings forbidden the
+search is exact.  Exact search over (cell, crossings) states is parked
+in ROADMAP.md ("Exact (cell, k) delivery routing").
 
 The search runs on the grid's flat arrays — occupancy, routability and the
 neighbor-index table are read directly, heap entries carry flat cell
@@ -83,7 +88,11 @@ def _cache_for(grid: Grid) -> Dict:
 
 @profiled("route.path")
 def find_path(grid: Grid, request: RoutingRequest) -> Path:
-    """Minimum-cost path under C = d * p, or raise :class:`NoPathError`.
+    """A path of low cost under C = d * p, or raise :class:`NoPathError`.
+
+    The path the one-cost-per-cell search settles (see the module
+    docstring): the cheapest route when occupied cells are forbidden,
+    possibly not the cheapest when they may be crossed.
 
     The source and destination themselves never contribute to the penalty:
     the source holds the moving object and the destination is where it is
@@ -226,7 +235,8 @@ def find_path_to_any(
     never penalised), while goal cells crossed en route to a different
     goal keep the normal transit rules — exactly the union of the
     per-goal searches, so the selected goal, its path and the tie-break
-    (lowest cost, then row-major smallest goal) match a goal-by-goal sweep.
+    (lowest cost, then row-major smallest goal) match a goal-by-goal sweep
+    of :func:`find_path`, which shares its caveat on crossed cells.
     """
     if not goals:
         raise NoPathError("empty goal set")
@@ -320,15 +330,17 @@ def find_paths_to_all(
     allow_occupied: bool = False,
     penalty_weight: int = 1,
 ) -> Dict[Position, Path]:
-    """Cheapest path from ``source`` to *every* reachable member of ``goals``.
+    """One path from ``source`` to *every* reachable member of ``goals``.
 
     One single-source Dijkstra replaces a dedicated search per goal: goals
     are terminal states with destination semantics exactly as in
     :func:`find_path_to_any`, but the sweep continues until every goal's
     arrival is finalised (or the component is exhausted).  Each returned
     path is identical — cells, cost, tie-breaks — to what
-    :func:`find_path` would produce for that goal alone; unreachable goals
-    are simply absent from the result.
+    :func:`find_path` would produce for that goal alone, so it is the
+    cheapest route when ``allow_occupied`` is False and possibly not the
+    cheapest when it is True (see the module docstring); unreachable
+    goals are simply absent from the result.
     """
     result: Dict[Position, Path] = {}
     if not goals:

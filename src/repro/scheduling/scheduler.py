@@ -41,6 +41,7 @@ from ..routing.dijkstra import (
 )
 from ..routing import space_search
 from ..routing.neighbor_moves import AlignmentError, plan_cnot_alignment
+from ..routing.path import Path
 from ..routing.space_search import (
     SpaceSearchError,
     _displace_blocker,
@@ -589,45 +590,68 @@ class LatticeSurgeryScheduler:
 
         The state is walked across the grid like a qubit (it is one — a
         patch in the |m> state), using the full displacement ladder to
-        shove parked data qubits out of the way.  Tries every goal in
-        ascending path-cost order, preferring routes through free cells.
+        shove parked data qubits out of the way.  Candidates are each
+        goal's free-only route or, for a goal with none, its distinct routes
+        under occupied-crossing weights 1, 8 and 32, tried in the strategy's
+        ``delivery_key`` order (goal order breaks ties).
+
+        The weighted sweeps run lazily: a route to a blocked goal crosses an
+        occupied cell, so at weight ``w`` it costs at least ``(1 + w)`` x
+        the Manhattan distance to the nearest blocked goal.  A weight's
+        sweep runs when the walk reaches a key at or above that floor (or
+        runs out of candidates); routes tried so far ranked below it and
+        routes it adds rank at or above it, so the walk follows the eager
+        three-sweep ranking exactly and never re-tries a route.
 
         Returns:
             (drop_cell, moves) where moves interleave evictions and the
             state's own hops (qubit id ``_MAGIC_ID``), or (None, []) when
             no goal is reachable.
         """
-        # One single-source sweep covers every goal; the penalty ladders run
-        # only for goals with no free-only route, again one sweep per weight.
+        # One single-source sweep covers every goal; the weighted sweeps
+        # cover only the goals it left blocked.  Higher weights hug free
+        # corridors and cross the data block only for the final cut-in,
+        # which keeps the displacement shallow.
         free_paths = find_paths_to_all(
             self.grid, port, goals, allow_occupied=False
         )
         blocked = {g for g in goals if g not in free_paths}
-        # Penalty variants: higher weights hug free corridors and cross
-        # the data block only for the final cut-in, which keeps the
-        # displacement shallow.
-        penalised = {
-            weight: find_paths_to_all(
-                self.grid, port, blocked,
-                allow_occupied=True, penalty_weight=weight,
-            )
-            for weight in ((1, 8, 32) if blocked else ())
-        }
-        candidates = []
-        seen = set()
-        for goal in sorted(goals):
-            path = free_paths.get(goal)
-            if path is not None:
-                candidates.append(path)
-                continue  # free-only route found; penalised ones are moot
-            for weight in (1, 8, 32):
-                path = penalised[weight].get(goal)
-                if path is None:
-                    continue
-                if path.cells not in seen:
-                    seen.add(path.cells)
+        rungs = [1, 8, 32] if blocked else []
+        nearest = min((Grid.manhattan(port, g) for g in blocked), default=0)
+        penalised: Dict[int, Dict[Position, Path]] = {}
+        key = self.strategy.delivery_key(self)
+
+        def ranked() -> List[Path]:
+            candidates, seen = [], set()
+            for goal in sorted(goals):
+                path = free_paths.get(goal)
+                if path is not None:
                     candidates.append(path)
-        for path in self.strategy.order_delivery(self, candidates):
+                    continue  # free-only route found; penalised ones are moot
+                for routes in penalised.values():
+                    path = routes.get(goal)
+                    if path is not None and path.cells not in seen:
+                        seen.add(path.cells)
+                        candidates.append(path)
+            return sorted(candidates, key=key)
+
+        candidates = ranked()
+        i = 0
+        while True:
+            while rungs and (
+                i >= len(candidates)
+                or key(candidates[i])[0] >= (1 + rungs[0]) * nearest
+            ):
+                weight = rungs.pop(0)
+                penalised[weight] = find_paths_to_all(
+                    self.grid, port, blocked,
+                    allow_occupied=True, penalty_weight=weight,
+                )
+                candidates = ranked()
+            if i >= len(candidates):
+                return None, []
+            path = candidates[i]
+            i += 1
             with self.grid.scratch() as scratch:
                 if scratch.is_occupied(port):
                     # A stray data qubit is resting on the delivery cell;
@@ -651,7 +675,6 @@ class LatticeSurgeryScheduler:
                 )
             if moves is not None:
                 return path.destination, prefix + moves
-        return None, []
 
     def _rehome(self, qubit: int, node: DagNode) -> None:
         """Walk ``qubit`` back to its home slot when that is free and safe.

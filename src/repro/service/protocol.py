@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
+from ..arch.layout import LayoutError, routing_plan
 from ..compiler.config import CompilerConfig
 from ..compiler.result import CompilationResult
 from ..ir import qasm
@@ -221,6 +222,10 @@ def parse_compile_request(
     if message.get("optimize"):
         circuit = optimize_circuit(circuit)
     config = parse_config(message.get("config"))
+    try:
+        routing_plan(circuit.num_qubits, config.routing_paths)
+    except LayoutError as exc:
+        raise ProtocolError(E_BAD_CONFIG, str(exc)) from exc
     return circuit, config, bool(message.get("full"))
 
 

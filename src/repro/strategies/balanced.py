@@ -23,7 +23,7 @@ the ledger being a function of the schedule prefix.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..arch.grid import Position
 from .base import Strategy
@@ -80,27 +80,25 @@ class BalancedStrategy(Strategy):
             return "target"
         return None
 
-    def order_delivery(
+    def delivery_key(
         self,
         scheduler: "LatticeSurgeryScheduler",
-        candidates: List["Path"],
-    ) -> List["Path"]:
+    ) -> Callable[["Path"], tuple]:
         grid = scheduler.grid
         moves = self._moves
 
-        def churn(path: "Path") -> float:
+        def key(path: "Path") -> tuple:
             total = 0
             for cell in path.cells:
                 occupant = grid.occupant(cell)
                 if occupant is not None:
                     total += moves.get(occupant, 0)
-            return _CHURN_WEIGHT * total
+            # Deterministic ranking: penalised cost (churn >= 0, so it is
+            # never below the raw cost), then raw cost, then the route
+            # itself as the final tie-break.
+            return (path.cost + _CHURN_WEIGHT * total, path.cost, path.cells)
 
-        # Deterministic ranking: penalised cost, then raw cost, then the
-        # route itself as the final tie-break.
-        return sorted(
-            candidates, key=lambda p: (p.cost + churn(p), p.cost, p.cells)
-        )
+        return key
 
     # -- reporting ----------------------------------------------------------
 

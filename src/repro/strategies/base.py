@@ -22,7 +22,7 @@ its grid and bookkeeping, but must not mutate either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..arch.grid import Position
 
@@ -106,12 +106,18 @@ class Strategy:
         """Whether ``qubit`` walks back to its home slot after a CNOT."""
         return True
 
-    def order_delivery(
+    def delivery_key(
         self,
         scheduler: "LatticeSurgeryScheduler",
-        candidates: List["Path"],
-    ) -> List["Path"]:
-        """Rank candidate magic-state delivery routes, best first."""
+    ) -> Callable[["Path"], tuple]:
+        """Ranking key of candidate magic-state delivery routes, best first.
+
+        The scheduler stable-sorts the candidates by this key, so equal
+        keys keep goal order.  The key's first component must be at least
+        ``path.cost``: the scheduler compares it with a cost floor to
+        decide whether a weighted delivery sweep could still add a route
+        ahead of the next candidate (see ``_route_magic_state``).
+        """
         raise NotImplementedError
 
     # -- reporting ----------------------------------------------------------

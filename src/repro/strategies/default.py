@@ -9,7 +9,7 @@ strategy, not in this one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..arch.grid import Position
 from .base import Strategy
@@ -35,11 +35,14 @@ class DefaultStrategy(Strategy):
         # interaction partner, falling back to the home cell.
         return scheduler._partner_drift_goal(node, qubit)
 
-    def order_delivery(
+    def delivery_key(
         self,
         scheduler: "LatticeSurgeryScheduler",
-        candidates: List["Path"],
-    ) -> List["Path"]:
-        # Ascending path cost; Python's sort is stable, so equal-cost
-        # routes keep their goal-order position exactly as before.
-        return sorted(candidates, key=lambda p: p.cost)
+    ) -> Callable[["Path"], tuple]:
+        # Ascending path cost; the sort is stable, so equal-cost routes
+        # keep their goal order.
+        return _by_cost
+
+
+def _by_cost(path: "Path") -> tuple:
+    return (path.cost,)

@@ -413,6 +413,13 @@ class TestHttpAbuse:
         assert time.perf_counter() - started < 2.0
         assert (err.value.status, err.value.code) == (400, "bad-circuit")
 
+    def test_infeasible_routing_paths_is_400_before_dispatch(self, gateway):
+        # the backend is dead: a 400 can only come from request parsing
+        with GatewayClient(*gateway.address) as client:
+            with pytest.raises(GatewayError) as err:
+                client.submit(workload="ising_2d_4x4", routing_paths=100000)
+        assert (err.value.status, err.value.code) == (400, "bad-config")
+
     def test_gateway_survives_the_abuse(self, gateway):
         with GatewayClient(*gateway.address) as client:
             assert client.ping()["ok"]

@@ -10,6 +10,7 @@ from repro.arch.layout import (
     layout_family,
     max_routing_paths,
     paper_r_values,
+    routing_plan,
 )
 
 
@@ -48,6 +49,16 @@ class TestConstruction:
     def test_r_exceeding_limit_rejected(self):
         with pytest.raises(LayoutError):
             build_layout(16, max_routing_paths(4) + 1)
+
+    def test_routing_plan_is_the_one_feasibility_check(self):
+        assert routing_plan(16, max_routing_paths(4)) == (4, 4, 3, 3)
+        # 2 data qubits sit in a 1x2 block: r=6 is within 2k+2 but needs
+        # an internal row the block does not have
+        for num_data, r in ((16, 11), (16, 100000), (2, 6), (0, 2), (16, 0)):
+            with pytest.raises(LayoutError):
+                routing_plan(num_data, r)
+            with pytest.raises(LayoutError):
+                build_layout(num_data, r)
 
     def test_zero_data_rejected(self):
         with pytest.raises(LayoutError):

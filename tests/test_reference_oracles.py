@@ -1,11 +1,12 @@
 """The compiler's hot loops against slow, obviously-correct references.
 
-Routing, reachability, redundant-move detection and the validator's
-checks run on flat arrays, caches and single-pass sweeps.  Each test here
-rebuilds the same answer the naive way — a BFS or Dijkstra over
-``(row, col)`` tuples, a pairwise interval scan, a replay of qubit
-positions, an op-by-op walk over :class:`ScheduledOp` objects — on seeded
-random inputs and compiled schedules, and demands the fast path agree.
+Routing, reachability, magic-state delivery, redundant-move detection and
+the validator's checks run on flat arrays, caches, lazy and single-pass
+sweeps.  Each test here rebuilds the same answer the naive way — a BFS or
+Dijkstra over ``(row, col)`` tuples, every delivery sweep run up front, a
+pairwise interval scan, a replay of qubit positions, an op-by-op walk over
+:class:`ScheduledOp` objects — on seeded random inputs and compiled
+schedules, and demands the fast path agree.
 """
 
 import dataclasses
@@ -15,10 +16,12 @@ import math
 import random
 from collections import deque
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.arch.grid import CellRole, Grid
+from repro.arch.instruction_set import InstructionSet
 from repro.compiler import CompilerConfig, FaultTolerantCompiler, codec
 from repro.fuzz import load_artifact
 from repro.fuzz.artifact import corpus_paths
@@ -35,11 +38,15 @@ from repro.routing.dijkstra import (
     find_paths_to_all,
     reachable_free_cells,
 )
+from repro.routing.path import Path
+from repro.routing.space_search import _displace_blocker, _walk_path_inner
 from repro.scheduling.events import Schedule, ScheduledOp
 from repro.scheduling.redundant_moves import (
     eliminate_redundant_moves,
     find_redundant_pairs,
 )
+from repro.scheduling.scheduler import LatticeSurgeryScheduler
+from repro.strategies import STRATEGIES, Strategy
 from repro.verify import MUTATIONS, ValidationReport, Violation
 from repro.verify.mutations import MutationContext
 from repro.verify.validator import (
@@ -269,6 +276,210 @@ class TestRoutingReference:
             assert path.destination == min(
                 g for g, cost in want.items() if cost == cheapest
             ), f"trial {trial}"
+
+
+    def test_find_path_keeps_one_cost_per_cell(self):
+        # D.##    S at (1, 2), D at (0, 0), # occupied.  The search reaches
+        # .#S.    (1, 0) first through the occupied (1, 1) at cost
+        # ....    2 * (1 + 1) = 4, then again along the bottom at the same
+        # cost 4 with no crossing; only the first is kept, so D costs
+        # 3 * (1 + 1) = 6 through (0, 2) although the free detour costs 5.
+        grid = Grid(3, 4)
+        for qubit, pos in enumerate([(0, 2), (0, 3), (1, 1)]):
+            grid.place(qubit, pos)
+        source, goal = (1, 2), (0, 0)
+        detour = ((1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
+        assert_legal_route(grid, Path(detour, 5.0, 0), (), True, 1)
+        got = find_path(grid, RoutingRequest(source, goal, allow_occupied=True))
+        assert (got.cost, got.occupied_crossings) == (6.0, 1)
+        assert got.cells == ((1, 2), (0, 2), (0, 1), (0, 0))
+        swept = find_paths_to_all(grid, source, {goal}, allow_occupied=True)
+        assert swept[goal] == got
+        # with crossings forbidden the same query is exact
+        free = find_path(grid, RoutingRequest(source, goal, allow_occupied=False))
+        assert free.cells == detour and free.cost == 5.0
+
+
+# -- magic-state delivery reference -------------------------------------------
+
+#: penalty weights of the weighted delivery sweeps, lowest first.
+DELIVERY_WEIGHTS = (1, 8, 32)
+
+
+def eager_delivery(grid, port, goals, rank, magic_id):
+    """Magic-state delivery with every weighted sweep run up front.
+
+    The scheduler's route before the sweeps became lazy: one free-only
+    sweep, then one sweep per weight over the goals it left blocked, the
+    candidates (goal order, then weight order, distinct cells) ranked by
+    ``rank`` and walked until one succeeds.  Returns ``(drop, moves)``.
+    """
+    free = find_paths_to_all(grid, port, goals, allow_occupied=False)
+    blocked = {goal for goal in goals if goal not in free}
+    penalised = {
+        weight: find_paths_to_all(grid, port, blocked, allow_occupied=True,
+                                  penalty_weight=weight)
+        for weight in (DELIVERY_WEIGHTS if blocked else ())
+    }
+    candidates, seen = [], set()
+    for goal in sorted(goals):
+        if goal in free:
+            candidates.append(free[goal])
+            continue
+        for weight in penalised:
+            path = penalised[weight].get(goal)
+            if path is not None and path.cells not in seen:
+                seen.add(path.cells)
+                candidates.append(path)
+    for path in rank(candidates):
+        with grid.scratch() as scratch:
+            prefix = []
+            if scratch.is_occupied(port):
+                prefix = _displace_blocker(
+                    scratch, port, frozenset(), set(path.cells), 0
+                )
+                if prefix is None:
+                    continue
+            scratch.place(magic_id, port)
+            moves = _walk_path_inner(scratch, magic_id, path, banned=frozenset(),
+                                     keep_off=set(), depth=0)
+        if moves is not None:
+            return path.destination, prefix + moves
+    return None, []
+
+
+def historical_rank(scheduler, candidates):
+    """The shipped strategies' delivery rankings, written out by hand."""
+    if scheduler.strategy.name == "default":
+        return sorted(candidates, key=lambda p: p.cost)
+    assert scheduler.strategy.name == "balanced"
+    grid, moves = scheduler.grid, scheduler.strategy._moves
+
+    def churn(path):
+        return 0.25 * sum(moves.get(grid.occupant(c), 0) for c in path.cells
+                          if grid.occupant(c) is not None)
+
+    return sorted(candidates, key=lambda p: (p.cost + churn(p), p.cost, p.cells))
+
+
+def rung_floors(grid, port, goals):
+    """The cost floor of each weighted sweep: (1 + w) x the Manhattan
+    distance to the nearest goal with no free route (empty if none)."""
+    free = find_paths_to_all(grid, port, goals, allow_occupied=False)
+    blocked = [goal for goal in goals if goal not in free]
+    if not blocked:
+        return []
+    nearest = min(Grid.manhattan(port, goal) for goal in blocked)
+    return [(1 + weight) * nearest for weight in DELIVERY_WEIGHTS]
+
+
+class SnapToFloor(Strategy):
+    """Keys snapped up to the next sweep floor, so many candidates tie at
+    a floor exactly: the cases a lazy sweep must break like the eager one.
+    Non-snapping keys add a hashed second component."""
+
+    name = "snap-to-floor"
+
+    def __init__(self, floors, salt):
+        self.floors = floors
+        self.salt = salt
+
+    def snapped(self, path):
+        return next((f for f in self.floors if f >= path.cost), path.cost)
+
+    def delivery_key(self, scheduler):
+        if self.salt is None:
+            return lambda path: (self.snapped(path),)
+        return lambda path: (self.snapped(path), hash((self.salt, path.cells)))
+
+
+def random_delivery(rng):
+    """A grid 30-70% occupied, a port and a drop-off goal set like a
+    scheduler delivery: the free neighbours of a data qubit, sometimes
+    plus scattered cells."""
+    grid = Grid(rng.randint(4, 9), rng.randint(4, 9))
+    cells = all_cells(grid)
+    rng.shuffle(cells)
+    for qubit, pos in enumerate(cells[: int(len(cells) * rng.uniform(0.3, 0.7))]):
+        grid.place(qubit, pos)
+    for pos in rng.sample(cells, 2):
+        grid.set_role(pos, rng.choice([CellRole.FACTORY, CellRole.PORT]))
+    routable = [p for p in all_cells(grid) if grid.routable(p)]
+    parked = [p for p in routable if grid.is_occupied(p)]
+    goals = set()
+    if parked:
+        goals = {p for p in grid.free_neighbors(rng.choice(parked))
+                 if grid.routable(p)}
+    free_cells = [p for p in routable if not grid.is_occupied(p)]
+    if not goals or rng.random() < 0.3:
+        goals |= set(rng.sample(free_cells, min(len(free_cells), 2)))
+    port = rng.choice([p for p in routable if p not in goals])
+    return grid, port, goals
+
+
+class TestDeliveryAgainstEagerSweeps:
+    def test_every_matrix_delivery(self, monkeypatch):
+        """Each delivery of the full bench matrix, both strategies, against
+        the eager route on the live grid at the moment of the call."""
+        lazy = LatticeSurgeryScheduler._route_magic_state
+        checked = []
+
+        def route(self, port, qubit, goals):
+            want = eager_delivery(self.grid, port, goals,
+                                  partial(historical_rank, self), self._MAGIC_ID)
+            got = lazy(self, port, qubit, goals)
+            assert got == want, (port, sorted(goals))
+            checked.append(bool(rung_floors(self.grid, port, goals)))
+            return got
+
+        monkeypatch.setattr(LatticeSurgeryScheduler, "_route_magic_state", route)
+        assert sorted(STRATEGIES) == ["balanced", "default"]
+        for strategy in sorted(STRATEGIES):
+            for case in bench_cases():
+                FaultTolerantCompiler(CompilerConfig(
+                    routing_paths=case.routing_paths,
+                    num_factories=case.num_factories,
+                    strategy=strategy,
+                )).compile(load_benchmark(case.workload))
+        assert len(checked) == 2 * 1502
+        assert sum(checked) > 2000  # most deliveries had a blocked goal
+
+    @pytest.mark.parametrize("salt", [None, 7])
+    def test_seeded_grids_with_keys_tied_at_the_floors(self, salt):
+        rng = random.Random(11)
+        blocked = ties = 0
+        for trial in range(600):
+            grid, port, goals = random_delivery(rng)
+            floors = rung_floors(grid, port, goals)
+            strategy = SnapToFloor(floors, salt)
+            scheduler = LatticeSurgeryScheduler(
+                grid, InstructionSet(), [port], strategy=strategy
+            )
+            key = strategy.delivery_key(scheduler)
+            want = eager_delivery(grid, port, goals,
+                                  lambda c: sorted(c, key=key), 10**9)
+            got = scheduler._route_magic_state(port, 0, goals)
+            assert got == want, f"trial {trial}"
+            blocked += bool(floors)
+            ties += any(strategy.snapped(p) in floors and p.cost < strategy.snapped(p)
+                        for p in find_paths_to_all(grid, port, goals).values())
+        assert blocked > 300 and ties > 100
+
+    @pytest.mark.parametrize("name", ["default", "balanced"])
+    def test_seeded_grids_with_shipped_strategies(self, name):
+        rng = random.Random(12)
+        for trial in range(300):
+            grid, port, goals = random_delivery(rng)
+            scheduler = LatticeSurgeryScheduler(
+                grid, InstructionSet(), [port], strategy=name
+            )
+            scheduler.strategy._moves = {
+                q: rng.randint(0, 6) for q in range(grid.rows * grid.cols)
+            }
+            want = eager_delivery(grid, port, goals,
+                                  partial(historical_rank, scheduler), 10**9)
+            assert scheduler._route_magic_state(port, 0, goals) == want, \
+                f"trial {trial}"
 
 
 # -- reachability references ------------------------------------------------

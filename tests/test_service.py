@@ -96,6 +96,20 @@ class TestProtocol:
         assert config == CompilerConfig()
         assert full is False
 
+    @pytest.mark.parametrize("routing_paths", [11, 100000])
+    def test_parse_compile_infeasible_routing_paths_is_bad_config(
+        self, routing_paths
+    ):
+        # ising_2d_4x4 has a 4x4 data block: at most 2k+2 = 10 paths
+        message = {"op": "compile", "workload": "ising_2d_4x4",
+                   "config": {"routing_paths": routing_paths}}
+        with pytest.raises(protocol.ProtocolError) as err:
+            protocol.parse_compile_request(message)
+        assert err.value.code == protocol.E_BAD_CONFIG
+        assert "2k+2=10" in str(err.value)
+        message["config"]["routing_paths"] = 10
+        assert protocol.parse_compile_request(message)[1].routing_paths == 10
+
     def test_parse_config_rejects_unknown_and_invalid_fields(self):
         with pytest.raises(protocol.ProtocolError) as err:
             protocol.parse_config({"bogus": 1})
@@ -361,6 +375,16 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as err:
                 client.compile(workload="not_a_workload")
         assert err.value.code == protocol.E_UNKNOWN_WORKLOAD
+
+    def test_infeasible_routing_paths_is_bad_config(self, service):
+        with Client(*service.address) as client:
+            before = client.stats()["engine"]["compiled"]
+            with pytest.raises(ServiceError) as err:
+                client.compile(workload="ising_2d_4x4", routing_paths=100000)
+            after = client.stats()["engine"]["compiled"]
+        assert err.value.code == protocol.E_BAD_CONFIG
+        assert "2k+2=10" in str(err.value)
+        assert after == before  # refused before a compile was queued
 
     def test_unknown_op_and_bad_json(self, service):
         with Client(*service.address) as client:

@@ -1,14 +1,16 @@
 """Placement/delivery strategy tests: registry, config plumbing, the
 default strategy's bit-identity, the balanced strategy's validity and
-its win on a tracked case, the CNOT mover-preference seam and the
-restore-cycle breaker.  The per-strategy quality gate built on top is
-tested in ``test_perf_bench.py``."""
+its win on a tracked case, the CNOT mover-preference seam, the delivery
+key contract with its pinned sweep count, and the restore-cycle breaker.
+The per-strategy quality gate built on top is tested in
+``test_perf_bench.py``."""
 
 import pytest
 
 from repro.arch.grid import Grid
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler, compile_circuit
+from repro.perf import bench_cases, profiler
 from repro.routing.neighbor_moves import plan_cnot_alignment
 from repro.scheduling.scheduler import LatticeSurgeryScheduler
 from repro.strategies import (
@@ -134,6 +136,45 @@ class TestCnotPreference:
         plan = plan_cnot_alignment(grid, 0, 1, prefer="control")
         assert plan.num_moves == 1
         assert plan.moves[0][0] == 1
+
+
+class TestDeliveryWork:
+    """Deterministic work counts of magic-state delivery on the fast bench
+    matrix.  A change that adds or saves a delivery sweep moves a pinned
+    number here in its own diff."""
+
+    #: strategy -> (route.magic calls, route.to_all calls) per fast matrix.
+    PINNED = {"default": (66, 92), "balanced": (66, 91)}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_sweep_count_and_key_floor(self, name, monkeypatch):
+        cls = STRATEGIES[name]
+        shipped = cls.delivery_key
+        keyed = []
+
+        def delivery_key(self, scheduler):
+            key = shipped(self, scheduler)
+
+            def checked(path):
+                # the lazy weighted sweeps are exact only under this bound
+                value = key(path)
+                assert value[0] >= path.cost, (value, path.cost)
+                keyed.append(path)
+                return value
+
+            return checked
+
+        monkeypatch.setattr(cls, "delivery_key", delivery_key)
+        with profiler.capture() as prof:
+            for case in bench_cases(fast=True):
+                FaultTolerantCompiler(CompilerConfig(
+                    routing_paths=case.routing_paths,
+                    num_factories=case.num_factories,
+                    strategy=name,
+                )).compile(load_benchmark(case.workload))
+        calls = {k: v.calls for k, v in prof.phases.items()}
+        assert (calls["route.magic"], calls["route.to_all"]) == self.PINNED[name]
+        assert keyed
 
 
 class TestRestoreCycleBreaker:
