@@ -127,6 +127,8 @@ def loads(text: str, name: str = "qasm") -> Circuit:
     if not qreg:
         raise QasmError("missing qreg declaration")
     num_qubits = int(qreg.group("size"))
+    if num_qubits == 0:
+        raise QasmError(f"{qreg.group(0)!r} declares no qubits")
     body = _QREG_RE.sub("", body, count=1)
     body = _CREG_RE.sub("", body)
 

@@ -25,10 +25,10 @@ MOVE_KINDS = ("move", "evict", "restore")
 class ScheduledOp:
     """One scheduled lattice-surgery operation.
 
-    Treated as immutable everywhere (re-timing copies via :meth:`shifted`);
-    not ``frozen=True`` because the scheduler constructs tens of thousands
-    of these per compile and the frozen ``object.__setattr__`` init is ~6x
-    slower than plain slot assignment.
+    One row of a :class:`Schedule`'s columns, built on first access to
+    :attr:`Schedule.ops`.  Treated as immutable (copy with
+    :func:`dataclasses.replace`); not ``frozen=True`` because a schedule
+    builds tens of thousands at once and the frozen init is ~6x slower.
 
     Attributes:
         uid: unique, monotonically increasing id in schedule order.
@@ -77,17 +77,6 @@ class ScheduledOp:
         route hops and consume ops; None for everything else.
         """
         return magic_factory(self.note)
-
-    def shifted(self, new_start: float) -> "ScheduledOp":
-        """Copy with a different start time (used by resimulation)."""
-        if new_start == self.start:
-            return self
-        return ScheduledOp(
-            uid=self.uid, kind=self.kind, name=self.name, qubits=self.qubits,
-            cells=self.cells, start=new_start, duration=self.duration,
-            min_start=self.min_start, gate_index=self.gate_index,
-            note=self.note,
-        )
 
     def to_dict(self) -> dict:
         """JSON-safe representation; :meth:`from_dict` restores it exactly."""
@@ -192,12 +181,11 @@ class TableColumn:
 class Schedule:
     """An ordered list of :class:`ScheduledOp` plus summary statistics.
 
-    A schedule made by :meth:`from_columns` (a decoded cache hit) holds
-    its ops as columns and builds the :class:`ScheduledOp` objects on
-    first access to :attr:`ops`, then drops the columns.  ``len()``,
-    :attr:`makespan` and :attr:`num_moves` read the columns while the ops
-    are unbuilt; so do the replay validator and the codec's encoder, which
-    read every schedule through :meth:`columns` and never build an op.
+    A schedule made by :meth:`from_columns` (compiled or decoded) holds its
+    ops as columns and builds the :class:`ScheduledOp` objects on first
+    access to :attr:`ops`, then drops the columns.  ``len()``,
+    :attr:`makespan` and :attr:`num_moves` read the columns; the Sec. V-D
+    pass, the replay validator and the encoder read :meth:`columns`.
     """
 
     __hash__ = None  # type: ignore[assignment]

@@ -6,18 +6,20 @@ straight back with no intervening use — ``U†(ri->rj) U(rj->ri) = I``.  This
 scheduling-stage pass finds such pairs in the committed schedule, removes
 them, and re-times the remaining operations (see
 :mod:`repro.scheduling.resim`), shortening execution without changing the
-computation.
+computation.  It reads :meth:`Schedule.columns` and builds no op: the
+pruned schedule is the input's columns under a keep mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from itertools import compress, count
+from typing import Dict, List, Tuple
 
 from ..arch.grid import Position
 from ..ir import gates as g
 from ..perf.profiler import profiled
-from .events import Schedule, ScheduledOp
+from .events import MOVE_KINDS, Schedule
 
 
 @dataclass(frozen=True)
@@ -33,14 +35,6 @@ class EliminationReport:
         return 2 * self.removed_pairs
 
 
-def _is_move(op: ScheduledOp) -> bool:
-    return (
-        op.kind in ("move", "evict", "restore")
-        and op.name == g.MOVE
-        and len(op.cells) == 2
-    )
-
-
 def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
     """Indices (into ``schedule.ops``) of cancellable inverse move pairs.
 
@@ -53,9 +47,8 @@ def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
     * no op between them locks cell A or cell B (nothing routed through
       either endpoint, so leaving the qubit parked at A is safe).
     """
-    ops = schedule.ops
+    _, kinds, names, qubit_col, cell_col, *_ = schedule.columns()
     pairs: List[Tuple[int, int]] = []
-    claimed: Set[int] = set()
     # Pending unmatched move per qubit: (index, origin, dest).
     pending: Dict[int, Tuple[int, Position, Position]] = {}
     # A pending pair is invalidated by later activity; rather than growing a
@@ -65,10 +58,12 @@ def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
     last_use: Dict[int, int] = {}
     last_touch: Dict[Position, int] = {}
 
-    for idx, op in enumerate(ops):
-        if _is_move(op):
-            (qubit,) = op.qubits
-            origin, dest = op.cells
+    for idx, kind, name, qubits, cells in zip(
+        count(), kinds, names, qubit_col, cell_col
+    ):
+        if kind in MOVE_KINDS and name == g.MOVE and len(cells) == 2:
+            (qubit,) = qubits
+            origin, dest = cells
             prior = pending.get(qubit)
             if (
                 prior is not None
@@ -77,12 +72,9 @@ def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
                 and prior[2] == origin
                 and last_touch.get(origin, -1) <= prior[0]
                 and last_touch.get(dest, -1) <= prior[0]
-                and prior[0] not in claimed
             ):
                 pairs.append((prior[0], idx))
-                claimed.add(prior[0])
-                claimed.add(idx)
-                pending.pop(qubit, None)
+                del pending[qubit]
                 # Cancelled pairs vanish from the schedule, so they do not
                 # invalidate other qubits' pending moves.
                 continue
@@ -90,9 +82,9 @@ def find_redundant_pairs(schedule: Schedule) -> List[Tuple[int, int]]:
             last_touch[origin] = idx
             last_touch[dest] = idx
             continue
-        for qubit in op.qubits:
+        for qubit in qubits:
             last_use[qubit] = idx
-        for cell in op.cells:
+        for cell in cells:
             last_touch[cell] = idx
     return pairs
 
@@ -104,15 +96,12 @@ def eliminate_redundant_moves(schedule: Schedule) -> Tuple[Schedule, Elimination
     Returns the pruned (still original-timed) schedule and a report.
     """
     pairs = find_redundant_pairs(schedule)
-    drop: Set[int] = set()
-    for i, j in pairs:
-        drop.add(i)
-        drop.add(j)
-    kept = [op for idx, op in enumerate(schedule.ops) if idx not in drop]
-    pruned = Schedule(ops=kept)
-    report = EliminationReport(
-        removed_pairs=len(pairs),
-        ops_before=len(schedule.ops),
-        ops_after=len(kept),
-    )
-    return pruned, report
+    columns = schedule.columns()
+    ops_before = len(schedule)
+    if pairs:
+        keep = bytearray(b"\x01") * ops_before
+        for i, j in pairs:
+            keep[i] = keep[j] = 0
+        columns = [list(compress(column, keep)) for column in columns]
+    pruned = Schedule.from_columns(columns)
+    return pruned, EliminationReport(len(pairs), ops_before, len(pruned))

@@ -1,10 +1,11 @@
 """Re-time a schedule after structural edits (list-scheduling replay).
 
 After redundant-move elimination the remaining operations keep their order
-but can generally start earlier.  ``resimulate`` replays the op list with
-the same resource rules the scheduler used — per-qubit timelines, per-cell
-locks and external release times (``min_start``, which preserves magic-state
-availability) — assigning each op the earliest feasible start.
+but can generally start earlier.  ``resimulate`` replays the schedule's
+columns with the same resource rules the scheduler used — per-qubit
+timelines, per-cell locks and external release times (``min_start``, which
+preserves magic-state availability) — writing a new start column of each
+op's earliest feasible start.
 """
 
 from __future__ import annotations
@@ -13,29 +14,35 @@ from typing import Dict, List
 
 from ..arch.grid import Position
 from ..perf.profiler import profiled
-from .events import Schedule, ScheduledOp
+from .events import MOVE_KINDS, Schedule, TableColumn
 
 
 @profiled("optimize.resim")
 def resimulate(schedule: Schedule) -> Schedule:
-    """Earliest-start replay of ``schedule`` preserving op order semantics."""
+    """Earliest-start replay of ``schedule`` preserving op order semantics.
+
+    An op whose start does not move keeps its old start value (an int stays
+    an int).  The table fields are interned over the result's own ops, so
+    it encodes exactly as the same ops built one by one would.
+    """
+    uid, kind, name, qubits, cells, starts, duration, min_start, gate_index, note = (
+        schedule.columns()
+    )
     qubit_free: Dict[int, float] = {}
     cell_free: Dict[Position, float] = {}
-    new_ops: List[ScheduledOp] = []
-    append = new_ops.append
+    retimed: List[float] = []
+    append = retimed.append
     qget = qubit_free.get
     cget = cell_free.get
-    _move_kinds = ("move", "evict", "restore")
-    for op in schedule.ops:
-        qubits = op.qubits
-        cells = op.cells
-        # inline op.resource_cells(): moves lock only their destination
-        if len(cells) == 2 and op.kind in _move_kinds:
-            resources = cells[1:]
+    for op_kind, op_qubits, op_cells, old, op_duration, start in zip(
+        kind, qubits, cells, starts, duration, min_start
+    ):
+        # inline resource_cells(): moves lock only their destination
+        if len(op_cells) == 2 and op_kind in MOVE_KINDS:
+            resources = op_cells[1:]
         else:
-            resources = cells
-        start = op.min_start
-        for q in qubits:
+            resources = op_cells
+        for q in op_qubits:
             t = qget(q, 0.0)
             if t > start:
                 start = t
@@ -43,14 +50,18 @@ def resimulate(schedule: Schedule) -> Schedule:
             t = cget(c, 0.0)
             if t > start:
                 start = t
-        timed = op if start == op.start else op.shifted(start)
-        append(timed)
-        end = start + op.duration
-        for q in qubits:
+        append(old if start == old else start)
+        end = start + op_duration
+        for q in op_qubits:
             qubit_free[q] = end
         for c in resources:
             cell_free[c] = end
-    return Schedule(ops=new_ops)
+    kind, name, qubits, cells, note = (
+        TableColumn.of(list(column)) for column in (kind, name, qubits, cells, note)
+    )
+    return Schedule.from_columns(
+        (uid, kind, name, qubits, cells, retimed, duration, min_start, gate_index, note)
+    )
 
 
 def optimize_schedule(schedule: Schedule):

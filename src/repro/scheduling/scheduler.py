@@ -156,8 +156,6 @@ class LatticeSurgeryScheduler:
         self.grid: Grid = grid
         self._qubit_free: Dict[int, float] = {}
         self._cell_free: Dict[Position, float] = {}
-        self._ops: List[ScheduledOp] = []
-        self._uid = 0
         self.stats = SchedulerStats()
 
     # -- public API -----------------------------------------------------------
@@ -180,7 +178,8 @@ class LatticeSurgeryScheduler:
         self.stats.displacement_aborts = (
             space_search.COUNTERS.abandoned_mover - self._displacement_base
         )
-        return Schedule(self._ops)
+        columns = self._columns
+        return Schedule.from_columns((list(range(len(columns[0]))), *columns))
 
     # -- internals --------------------------------------------------------------
 
@@ -200,8 +199,8 @@ class LatticeSurgeryScheduler:
         self._qubit_free = {q: 0.0 for q in placement}
         self._cell_free = {}
         self._home = dict(placement)
-        self._ops = []
-        self._uid = 0
+        # one list per op field after the uid, which is the op's index
+        self._columns = tuple([] for _ in ScheduledOp.__slots__[1:])
         self._node_end = {}
         self._barrier_floor = 0.0
         self.stats = SchedulerStats()
@@ -231,7 +230,8 @@ class LatticeSurgeryScheduler:
         min_start: float = 0.0,
         gate_index: Optional[int] = None,
         note: str = "",
-    ) -> ScheduledOp:
+    ) -> float:
+        """Append one op to the columns, book its resources; return its start."""
         # Hand-inlined "schedule.record" seam: this is the single hottest
         # function in the compiler and the @profiled wrapper's extra call
         # layer is measurable at ~55k records per bench suite.
@@ -245,12 +245,19 @@ class LatticeSurgeryScheduler:
                 min_start = self._barrier_floor
             if start < min_start:
                 start = min_start
-            op = ScheduledOp(
-                self._uid, kind, name, qubits, cells, start, duration,
-                min_start, gate_index, note,
-            )
-            self._uid += 1
-            self._ops.append(op)
+            (
+                kinds, names, qubit_col, cell_col, starts, durations, min_starts,
+                gate_indices, notes,
+            ) = self._columns
+            kinds.append(kind)
+            names.append(name)
+            qubit_col.append(qubits)
+            cell_col.append(cells)
+            starts.append(start)
+            durations.append(duration)
+            min_starts.append(min_start)
+            gate_indices.append(gate_index)
+            notes.append(note)
             end = start + duration
             if gate_index is not None and end > self._node_end.get(gate_index, 0.0):
                 self._node_end[gate_index] = end
@@ -265,7 +272,7 @@ class LatticeSurgeryScheduler:
             for c in cells:
                 if end > cell_free.get(c, 0.0):
                     cell_free[c] = end
-            return op
+            return start
         finally:
             if prof is not None:
                 prof.exit()
@@ -313,7 +320,7 @@ class LatticeSurgeryScheduler:
             if t > start:
                 start = t
             grid.move(qubit, dest)
-            op = self._record(
+            cursor = self._record(
                 kind,
                 g.MOVE,
                 (qubit,),
@@ -321,8 +328,7 @@ class LatticeSurgeryScheduler:
                 start,
                 move_time,
                 gate_index=gate_index,
-            )
-            cursor = op.start + move_time
+            ) + move_time
             stats.moves_planned += 1
             if kind == "evict":
                 stats.evictions += 1
@@ -870,7 +876,7 @@ class LatticeSurgeryScheduler:
                 hop_start = max(delivered, self._cells_ready((origin, dest)))
                 if not evictions and origin == factory.port:
                     self.stats.route_stall_time += max(0.0, hop_start - ready)
-                hop = self._record(
+                delivered = self._record(
                     "route",
                     g.MOVE,
                     (),
@@ -880,8 +886,7 @@ class LatticeSurgeryScheduler:
                     min_start=ready,
                     gate_index=node.index,
                     note=f"magic-state from f{factory.index}",
-                )
-                delivered = hop.end
+                ) + self.isa.move
                 self.stats.route_hops += 1
             else:
                 self._execute_moves(

@@ -23,8 +23,8 @@ How a schedule is read
 ----------------------
 Every check reads the schedule's columns
 (:meth:`~repro.scheduling.events.Schedule.columns`), never its
-:class:`~repro.scheduling.events.ScheduledOp` list, so a decoded cache
-hit is validated without building one op.  A fact that depends on one
+:class:`~repro.scheduling.events.ScheduledOp` list, so a compiled result
+or a cache hit is validated without building one op.  A fact that depends on one
 table value alone is worked out once per table row: whether a kind is a
 move, whether a gate name needs an ancilla cell, the factory a note
 names, the cells a ``(kind, cells)`` pair locks.  The per-op work is one

@@ -7,6 +7,7 @@ remote bytes are untrusted, so malformed input must raise ``CodecError``
 """
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
@@ -31,16 +32,40 @@ def _canonical(result):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def _fast_cases():
+def _fast_cases(strategy="default"):
     return [
         (
             load_benchmark(case.workload),
             CompilerConfig(
-                routing_paths=case.routing_paths, num_factories=case.num_factories
+                routing_paths=case.routing_paths,
+                num_factories=case.num_factories,
+                strategy=strategy,
             ),
         )
         for case in bench_cases(fast=True)
     ]
+
+
+def _case_name(circuit, config):
+    return (
+        f"{config.strategy}/{circuit.name}"
+        f"/r{config.routing_paths}/f{config.num_factories}"
+    )
+
+
+#: sha256 of ``codec.encode`` of every fast-matrix result, per strategy.
+#: Generated before the compile path moved onto columns; any drift in the
+#: schedule, its field types or its intern tables changes a digest.
+GOLDEN_ENCODE_DIGESTS = {
+    "balanced/fermi_hubbard_2d_2x2/r4/f1": "cbbe2cde91d204f627cb038958bae0502d154e11371ccdabacc28c2ca0629d61",
+    "balanced/heisenberg_2d_2x2/r3/f1": "80b2074edf8b3a7a5b11931d9f6df4187302f38bdef199c5f76d7e8c641ad027",
+    "balanced/ising_2d_2x2/r3/f1": "d6b09fde02b65f1d684db79a67a4384ded139e543dd6cd52fb1336978ed0197d",
+    "balanced/ising_2d_4x4/r4/f2": "74b126cfa73ca4d75e5a60344c16049d707922a83d46f6d5bb85eb76e92c0822",
+    "default/fermi_hubbard_2d_2x2/r4/f1": "546461940ce79d04b0a40d2c2e39afb831af638d1f8726b27f4013d89f42fd3a",
+    "default/heisenberg_2d_2x2/r3/f1": "2ef04d7f8c3145d4dc8aa6dab3fb7a1cb8d7bf5c494ed5dedfe0f1cf90279942",
+    "default/ising_2d_2x2/r3/f1": "33fb177a0c127b2ab6d56576164af4c9b2482bbf5c799f7a63ff1e169ba9f4c2",
+    "default/ising_2d_4x4/r4/f2": "09ec1191dc68cdbe71f2945cdce9762f14de02018636762ba714a6e8eb2e7b5e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +80,11 @@ def fast_matrix(fast_inputs):
         FaultTolerantCompiler(config).compile(circuit)
         for circuit, config in fast_inputs
     ]
+
+
+@pytest.fixture(scope="module")
+def balanced_inputs():
+    return _fast_cases("balanced")
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +154,19 @@ class TestRoundTrip:
         digest, body = codec.split(codec.encode(result))
         assert digest == codec.payload_checksum(body)
 
+    def test_golden_encode_digests(self, fast_inputs, fast_matrix, balanced_inputs):
+        balanced = [
+            FaultTolerantCompiler(config).compile(circuit)
+            for circuit, config in balanced_inputs
+        ]
+        digests = {
+            _case_name(circuit, config): hashlib.sha256(codec.encode(result)).hexdigest()
+            for (circuit, config), result in zip(
+                fast_inputs + balanced_inputs, fast_matrix + balanced
+            )
+        }
+        assert digests == GOLDEN_ENCODE_DIGESTS
+
     def test_checksum_of_a_dict_is_canonical_json(self):
         import hashlib
 
@@ -162,6 +205,18 @@ class TestOpsBuiltOnFirstTouch:
             assert not decoded.schedule.built
         assert constructions == []
 
+    def test_compile_fingerprint_encode_and_validation_build_no_op(
+        self, fast_inputs, balanced_inputs, constructions
+    ):
+        for circuit, config in fast_inputs + balanced_inputs:
+            result = FaultTolerantCompiler(config).compile(circuit)
+            assert result.fingerprint()["num_ops"] == len(result.schedule) > 0
+            assert codec.decode(codec.encode(result)).fingerprint() == result.fingerprint()
+            report = validate_result(result, circuit, config)
+            assert report.ok, report.summary()
+            assert not result.schedule.built
+        assert constructions == []
+
     def test_replay_validation_builds_no_op(
         self, fast_inputs, fast_matrix, constructions
     ):
@@ -196,7 +251,9 @@ class TestOpsBuiltOnFirstTouch:
         assert disk.get(key) == peer_cache.get(key) == codec.encode(result)
 
     def test_first_access_builds_every_op_once(self, result, constructions):
+        result.schedule.ops
         decoded = codec.decode(codec.encode(result))
+        constructions.clear()
         lazy = decoded.fingerprint()
         assert not decoded.schedule.built
         assert decoded.schedule.ops == result.schedule.ops

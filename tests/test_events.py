@@ -17,11 +17,6 @@ class TestScheduledOp:
     def test_end(self):
         assert op(0, start=2.0, duration=3.0).end == 5.0
 
-    def test_shifted(self):
-        shifted = op(0, start=2.0).shifted(7.0)
-        assert shifted.start == 7.0
-        assert shifted.uid == 0
-
     def test_resource_cells_move_locks_destination_only(self):
         move = op(0, kind="move", name="move", cells=((0, 0), (0, 1)))
         assert move.resource_cells() == ((0, 1),)

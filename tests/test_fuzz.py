@@ -6,6 +6,7 @@ defects), the shrinker (reduces and preserves the failing oracle), the
 artifact round trip, both runner modes, and the CLI entry points.
 """
 
+import dataclasses
 import json
 import math
 
@@ -203,7 +204,9 @@ class TestOracles:
 
         def lossy(blob):
             rebuilt = decode(blob)
-            rebuilt.schedule.ops[0] = rebuilt.schedule.ops[0].shifted(1e-9)
+            rebuilt.schedule.ops[0] = dataclasses.replace(
+                rebuilt.schedule.ops[0], start=1e-9
+            )
             return rebuilt
 
         monkeypatch.setattr(codec, "decode", lossy)

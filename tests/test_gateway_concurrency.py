@@ -413,6 +413,12 @@ class TestHttpAbuse:
         assert time.perf_counter() - started < 2.0
         assert (err.value.status, err.value.code) == (400, "bad-circuit")
 
+    def test_empty_register_is_400_before_dispatch(self, gateway):
+        with GatewayClient(*gateway.address) as client:
+            with pytest.raises(GatewayError) as err:
+                client.submit(qasm_source="OPENQASM 2.0;\nqreg q[0];\n")
+        assert (err.value.status, err.value.code) == (400, "bad-circuit")
+
     def test_infeasible_routing_paths_is_400_before_dispatch(self, gateway):
         # the backend is dead: a 400 can only come from request parsing
         with GatewayClient(*gateway.address) as client:

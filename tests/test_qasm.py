@@ -50,6 +50,10 @@ class TestLoads:
         with pytest.raises(QasmError):
             qasm.loads("OPENQASM 2.0; h q[0];")
 
+    def test_empty_register_rejected(self):
+        with pytest.raises(QasmError, match=r"qreg q\[0\];' declares no qubits"):
+            qasm.loads("OPENQASM 2.0;\nqreg q[0];\n")
+
     def test_unknown_gate_rejected(self):
         with pytest.raises(QasmError):
             qasm.loads("OPENQASM 2.0; qreg q[1]; frob q[0];")

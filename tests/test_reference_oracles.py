@@ -1,8 +1,8 @@
 """The compiler's hot loops against slow, obviously-correct references.
 
-Routing, reachability, magic-state delivery, redundant-move detection and
-the validator's checks run on flat arrays, caches, lazy and single-pass
-sweeps.  Each test here rebuilds the same answer the naive way — a BFS or
+Routing, reachability, magic-state delivery, redundant-move detection,
+re-timing and the validator's checks run on flat arrays, columns, caches,
+lazy and single-pass sweeps.  Each test here rebuilds the same answer the naive way — a BFS or
 Dijkstra over ``(row, col)`` tuples, every delivery sweep run up front, a
 pairwise interval scan, a replay of qubit positions, an op-by-op walk over
 :class:`ScheduledOp` objects — on seeded random inputs and compiled
@@ -42,9 +42,11 @@ from repro.routing.path import Path
 from repro.routing.space_search import _displace_blocker, _walk_path_inner
 from repro.scheduling.events import Schedule, ScheduledOp
 from repro.scheduling.redundant_moves import (
+    EliminationReport,
     eliminate_redundant_moves,
     find_redundant_pairs,
 )
+from repro.scheduling.resim import optimize_schedule, resimulate
 from repro.scheduling.scheduler import LatticeSurgeryScheduler
 from repro.strategies import STRATEGIES, Strategy
 from repro.verify import MUTATIONS, ValidationReport, Violation
@@ -777,6 +779,236 @@ class TestRedundantPairsReference:
             assert report.ops_before - report.ops_after == report.moves_removed
             assert positions_at_uses(pruned, start) == \
                 positions_at_uses(schedule, start)
+
+
+# -- Sec. V-D pass against the op walk --------------------------------------
+
+
+def reference_redundant_pairs(ops):
+    """Inverse move pairs, found by walking :class:`ScheduledOp` objects
+    (the pass as it read ``schedule.ops``)."""
+    pairs = []
+    claimed = set()
+    pending = {}
+    last_use = {}
+    last_touch = {}
+    for idx, op in enumerate(ops):
+        if (op.kind in ("move", "evict", "restore") and op.name == g.MOVE
+                and len(op.cells) == 2):
+            (qubit,) = op.qubits
+            origin, dest = op.cells
+            prior = pending.get(qubit)
+            if (
+                prior is not None
+                and last_use.get(qubit, -1) <= prior[0]
+                and prior[1] == dest
+                and prior[2] == origin
+                and last_touch.get(origin, -1) <= prior[0]
+                and last_touch.get(dest, -1) <= prior[0]
+                and prior[0] not in claimed
+            ):
+                pairs.append((prior[0], idx))
+                claimed.add(prior[0])
+                claimed.add(idx)
+                pending.pop(qubit, None)
+                continue
+            pending[qubit] = (idx, origin, dest)
+            last_touch[origin] = idx
+            last_touch[dest] = idx
+            continue
+        for qubit in op.qubits:
+            last_use[qubit] = idx
+        for cell in op.cells:
+            last_touch[cell] = idx
+    return pairs
+
+
+def reference_resimulate(ops):
+    """Earliest-start replay that copies each moved op (the pass as it
+    re-timed ``ScheduledOp`` objects)."""
+    qubit_free, cell_free, retimed = {}, {}, []
+    for op in ops:
+        resources = op.resource_cells()
+        start = op.min_start
+        for q in op.qubits:
+            if qubit_free.get(q, 0.0) > start:
+                start = qubit_free.get(q, 0.0)
+        for c in resources:
+            if cell_free.get(c, 0.0) > start:
+                start = cell_free.get(c, 0.0)
+        retimed.append(op if start == op.start else replace(op, start=start))
+        end = start + op.duration
+        for q in op.qubits:
+            qubit_free[q] = end
+        for c in resources:
+            cell_free[c] = end
+    return retimed
+
+
+def column_text(columns):
+    """Every value of every column as its repr: an int time and a float
+    time, or a tuple and a list, never compare equal here."""
+    return [list(map(repr, column)) for column in columns]
+
+
+def op_columns(ops):
+    return [[getattr(op, field) for op in ops] for field in ScheduledOp.__slots__]
+
+
+def assert_same_pass(schedule, what):
+    """``find_redundant_pairs``, ``resimulate`` and ``optimize_schedule`` on
+    ``schedule`` equal the op walk: the same pairs, and output columns with
+    the same values of the same types.  Returns the expected optimised ops."""
+    was_built = schedule.built
+    ops = list(map(ScheduledOp, *schedule.columns()))
+    pairs = reference_redundant_pairs(ops)
+    assert find_redundant_pairs(schedule) == pairs, what
+    assert column_text(resimulate(schedule).columns()) == column_text(
+        op_columns(reference_resimulate(ops))
+    ), what
+    dropped = {k for pair in pairs for k in pair}
+    expected = reference_resimulate(
+        [op for k, op in enumerate(ops) if k not in dropped]
+    )
+    optimised, report = optimize_schedule(schedule)
+    assert column_text(optimised.columns()) == column_text(op_columns(expected)), what
+    assert report == EliminationReport(len(pairs), len(ops), len(expected)), what
+    assert not optimised.built
+    assert schedule.built == was_built, what
+    return expected
+
+
+def timed_move_schedule(rng):
+    """A :func:`random_move_schedule` with int and float times, equal
+    starts and ``min_start`` floors."""
+    schedule = random_move_schedule(
+        rng, qubits=rng.randint(2, 5), length=rng.randint(0, 80)
+    )
+    times = (0, 1, 2, 3, 0.0, 0.5, 1.0, 2.0, 3.0, 7.5)
+    return Schedule(ops=[
+        replace(
+            op,
+            start=rng.choice((op.start, int(op.start), rng.choice(times))),
+            duration=rng.choice((1, 1.0, 0.5, 2.0, 0.0)),
+            min_start=rng.choice((0.0, 0.0, 0, op.start, rng.choice(times))),
+        )
+        for op in schedule.ops
+    ])
+
+
+def _hop(uid, qubit, a, b, start=0.0, min_start=0.0, kind="move"):
+    return ScheduledOp(uid, kind, g.MOVE, (qubit,), (a, b), start, 1.0, min_start)
+
+
+def _gate(uid, qubits, cells, start, duration=2.0, min_start=0.0):
+    return ScheduledOp(uid, "gate", g.CX, qubits, cells, start, duration, min_start)
+
+
+HAND_MADE = {
+    # int times: unmoved ops keep their int start, moved ones take the
+    # replay's value
+    "int times": [
+        _gate(0, (0,), (), 0, duration=2), _hop(1, 1, (0, 0), (0, 1), start=5),
+        _hop(2, 1, (0, 1), (0, 0), start=6), _gate(3, (0,), (), 2, duration=1),
+        _gate(4, (1,), (), 7, duration=1),
+    ],
+    # two ops computed to the same start; one holds 3 as an int where the
+    # replay computes 3.0, so it keeps the int
+    "start ties": [
+        _gate(0, (0,), ((1, 1),), 0.0, duration=3.0),
+        _gate(1, (1,), ((2, 2),), 0.0, duration=3.0),
+        _gate(2, (0,), (), 3), _gate(3, (1,), (), 3.0),
+        _gate(4, (2,), ((1, 1),), 4.0),
+    ],
+    # floors hold ops back once the pair in front of them is gone
+    "min_start floors": [
+        _hop(0, 0, (0, 0), (0, 1), start=0.0),
+        _hop(1, 0, (0, 1), (0, 0), start=1.0, min_start=1.0),
+        _gate(2, (0,), (), 2.0, min_start=1.5),
+        _gate(3, (1,), (), 8.0, min_start=9),
+        _gate(4, (0, 1), (), 11.0, duration=1.0, min_start=4.0),
+    ],
+    # back-to-back and nested inverse pairs of one qubit, a pair broken by
+    # a route over its cell, and a pair of evictions
+    "chained inverse pairs": [
+        _hop(0, 0, (0, 0), (0, 1), start=0.0),
+        _hop(1, 0, (0, 1), (0, 0), start=1.0),
+        _hop(2, 0, (0, 0), (0, 1), start=2.0),
+        _hop(3, 0, (0, 1), (0, 0), start=3.0),
+        _hop(4, 0, (0, 0), (1, 0), start=4.0),
+        _hop(5, 0, (1, 0), (2, 0), start=5.0),
+        _hop(6, 0, (2, 0), (1, 0), start=6.0),
+        _hop(7, 0, (1, 0), (0, 0), start=7.0),
+        _hop(8, 1, (5, 5), (5, 6), start=0.0, kind="evict"),
+        ScheduledOp(9, "route", g.MOVE, (), ((5, 6), (4, 6)), 1.0, 1.0),
+        _hop(10, 1, (5, 6), (5, 5), start=2.0, kind="restore"),
+        _hop(11, 2, (7, 7), (7, 8), start=0.0, kind="evict"),
+        _hop(12, 2, (7, 8), (7, 7), start=1.0, kind="restore"),
+        _gate(13, (0, 1, 2), (), 8.0),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def full_matrix_raw():
+    """``(name, raw result)`` per full-matrix case and strategy: the
+    scheduler's output before the Sec. V-D pass."""
+    return [
+        (
+            f"{strategy}/{case.workload}/r{case.routing_paths}/f{case.num_factories}",
+            FaultTolerantCompiler(CompilerConfig(
+                routing_paths=case.routing_paths, num_factories=case.num_factories,
+                strategy=strategy, eliminate_redundant_moves=False,
+            )).compile(load_benchmark(case.workload)),
+        )
+        for strategy in ("default", "balanced")
+        for case in bench_cases()
+    ]
+
+
+class TestSecVDAgainstOpWalk:
+    """Pruning and re-timing on columns give the op walk's pairs and its
+    columns, value for value and type for type."""
+
+    def test_full_matrix_raw_schedules(self, full_matrix_raw):
+        removed = 0
+        for name, raw in full_matrix_raw:
+            schedule = raw.schedule
+            expected = assert_same_pass(schedule, name)
+            removed += len(schedule) - len(expected)
+            # the intern tables too: the optimised result encodes as the
+            # op walk's does
+            optimised, _ = optimize_schedule(Schedule.from_columns(schedule.columns()))
+            assert codec.encode(replace(raw, schedule=optimised)) == codec.encode(
+                replace(raw, schedule=Schedule(ops=expected))
+            ), name
+        assert removed > 0
+
+    def test_seeded_fuzz_schedules(self):
+        rng = random.Random(2707)
+        paired = moved_ints = 0
+        for trial in range(200):
+            built = timed_move_schedule(rng)
+            columnar = Schedule.from_columns(built.columns())
+            assert_same_pass(columnar, f"trial {trial}")
+            expected = assert_same_pass(built, f"trial {trial} (built)")
+            paired += len(built) > len(expected)
+            moved_ints += any(type(op.start) is int for op in expected)
+        assert paired > 100 and moved_ints > 100
+
+    def test_hand_made_cases(self):
+        for name, ops in HAND_MADE.items():
+            assert_same_pass(Schedule(ops=list(ops)), name)
+            assert_same_pass(Schedule.from_columns(op_columns(ops)), f"{name} (columns)")
+        int_times, _ = optimize_schedule(Schedule(ops=HAND_MADE["int times"]))
+        assert [repr(op.start) for op in int_times.ops] == ["0", "2", "0.0"]
+        ties = resimulate(Schedule(ops=HAND_MADE["start ties"]))
+        assert [repr(op.start) for op in ties.ops] == ["0.0", "0.0", "3", "3.0", "3.0"]
+        floors, _ = optimize_schedule(Schedule(ops=HAND_MADE["min_start floors"]))
+        assert [repr(op.start) for op in floors.ops] == ["1.5", "9", "11.0"]
+        assert find_redundant_pairs(Schedule(ops=HAND_MADE["chained inverse pairs"])) == [
+            (0, 1), (2, 3), (5, 6), (11, 12),
+        ]
 
 
 # -- validator interval references ------------------------------------------

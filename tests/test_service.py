@@ -8,6 +8,7 @@ structured client errors, and overload shedding.
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -85,6 +86,13 @@ class TestProtocol:
         with pytest.raises(protocol.ProtocolError) as err:
             protocol.parse_compile_request({"op": "compile", "qasm": source})
         assert err.value.code == protocol.E_BAD_CIRCUIT
+
+    def test_parse_compile_empty_register_is_bad_circuit(self):
+        source = "OPENQASM 2.0;\nqreg q[0];\n"
+        with pytest.raises(protocol.ProtocolError) as err:
+            protocol.parse_compile_request({"op": "compile", "qasm": source})
+        assert err.value.code == protocol.E_BAD_CIRCUIT
+        assert "qreg q[0];" in str(err.value)
 
     def test_parse_compile_qasm_source(self):
         source = 'OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n'
@@ -431,7 +439,7 @@ class TestServiceValidation:
         key = job_key(circuit, config)
         result = FaultTolerantCompiler(config).compile(circuit)
         ops = result.schedule.ops
-        ops[0] = ops[0].shifted(-5.0)  # structure violation
+        ops[0] = dataclasses.replace(ops[0], start=-5.0)  # structure violation
         # encode (and so checksum) the tampered result so the entry passes
         # the cache's integrity layer — this test targets replay
         # validation, the layer that catches corruption the checksum
