@@ -38,7 +38,7 @@ the recursive structure of the displacement planner.
 
 The :attr:`Grid.epoch` counter increments on every mutation and is
 restored on rollback, so "same epoch" means "bit-identical occupancy and
-roles" — the router keys its path cache on it.
+roles".
 """
 
 from __future__ import annotations
@@ -183,8 +183,6 @@ class Grid:
         #: undo log entries while scratch mode is active (LIFO).
         self._undo: List[tuple] = []
         self._scratch_depth = 0
-        #: per-epoch route cache buckets owned by repro.routing.dijkstra.
-        self._route_cache: Dict[int, dict] = {}
 
     # -- indexing ---------------------------------------------------------------
 
@@ -414,7 +412,6 @@ class Grid:
         dup._epoch_counter = 0
         dup._undo = []
         dup._scratch_depth = 0
-        dup._route_cache = {}
         return dup
 
     def scratch(self) -> _ScratchHandle:
@@ -468,6 +465,6 @@ class Grid:
                 self._routable_b[i] = 1 if old in _ROUTABLE_ROLES else 0
                 self._parkable_b[i] = 1 if old in _PARKABLE_ROLES else 0
         self._scratch_depth -= 1
-        # State is bit-identical to scratch entry, so the old epoch (and any
-        # cached routes tagged with it) is valid again.
+        # State is bit-identical to scratch entry, so the old epoch is valid
+        # again.
         self._epoch = epoch

@@ -43,16 +43,6 @@ class DagNode:
     def qubits(self) -> Sequence[int]:
         return self.gate.qubits
 
-    @property
-    def wire_predecessors(self) -> Set[int]:
-        """Predecessors reached through a shared qubit (not a barrier).
-
-        A wire edge only constrains the shared qubits; a barrier edge
-        serialises the nodes entirely.  The scheduler and the
-        :mod:`repro.verify` replay validator both branch on this split.
-        """
-        return self.predecessors - self.barrier_predecessors
-
 
 class DagCircuit:
     """Dependency DAG over the gates of a :class:`~repro.ir.circuit.Circuit`.

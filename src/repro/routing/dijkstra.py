@@ -17,10 +17,10 @@ search is exact.  Exact search over (cell, crossings) states is parked
 in ROADMAP.md ("Exact (cell, k) delivery routing").
 
 The search runs on the grid's flat arrays — occupancy, routability and the
-neighbor-index table are read directly, heap entries carry flat cell
+neighbor-index table are read directly, and heap entries carry flat cell
 indices (row-major, so index order equals ``(row, col)`` order and
-tie-breaking is unchanged), and results are cached per grid keyed on the
-occupancy epoch: repeated queries against an unchanged grid are dict hits.
+tie-breaking is unchanged).  Every query runs its own search: the
+compiler rarely repeats a query against an unchanged grid.
 ``find_path_to_any`` is a *single* multi-goal search that terminates at the
 cheapest member of the goal set rather than one full Dijkstra per goal.
 """
@@ -35,10 +35,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..arch.grid import CellRole, Grid, Position
 from ..perf.profiler import profiled
 from .path import Path
-
-#: path-cache entries per grid before the cache is dropped and restarted.
-_CACHE_LIMIT = 8192
-
 
 @dataclass(frozen=True)
 class RoutingRequest:
@@ -65,27 +61,6 @@ class NoPathError(RuntimeError):
     """Raised when the grid admits no route for a request."""
 
 
-def _cache_for(grid: Grid) -> Dict:
-    """The route-cache bucket for the grid's current occupancy epoch.
-
-    Epochs uniquely identify grid states (rollback restores the entry
-    epoch; forward mutations always allocate fresh ids), so buckets from
-    other epochs stay valid for *their* states — queries made before a
-    scratch block hit again after it rolls back.
-    """
-    slots = grid._route_cache
-    epoch = grid._epoch
-    cache = slots.get(epoch)
-    if cache is None:
-        if len(slots) >= 32:
-            slots.clear()
-        cache = {}
-        slots[epoch] = cache
-    elif len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    return cache
-
-
 @profiled("route.path")
 def find_path(grid: Grid, request: RoutingRequest) -> Path:
     """A path of low cost under C = d * p, or raise :class:`NoPathError`.
@@ -103,30 +78,6 @@ def find_path(grid: Grid, request: RoutingRequest) -> Path:
         return Path((src,), cost=0.0, occupied_crossings=0)
     if src not in grid or dst not in grid:
         raise NoPathError(f"route endpoints {src}->{dst} outside grid")
-
-    cache = _cache_for(grid)
-    key = (src, dst, request.avoid, request.allow_occupied, request.penalty_weight)
-    hit = cache.get(key)
-    if hit is not None:
-        if hit is _NO_PATH:
-            raise NoPathError(f"no route {src} -> {dst}")
-        return hit
-
-    try:
-        result = _search(grid, request)
-    except NoPathError:
-        cache[key] = _NO_PATH
-        raise
-    cache[key] = result
-    return result
-
-
-#: cache sentinel for queries that ended in NoPathError.
-_NO_PATH = object()
-
-
-def _search(grid: Grid, request: RoutingRequest) -> Path:
-    src, dst = request.source, request.destination
     cols = grid.cols
     src_i = src[0] * cols + src[1]
     dst_i = dst[0] * cols + dst[1]

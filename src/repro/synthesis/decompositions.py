@@ -7,7 +7,6 @@ compiler schedules.  All decompositions are textbook-exact.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from ..ir import gates as g
@@ -88,25 +87,3 @@ def expand_swaps(circuit: Circuit) -> Circuit:
         else:
             out.append(gate)
     return out
-
-
-def qft_rotation_ladder(qubits: List[int], inverse: bool = False) -> List[Gate]:
-    """Controlled-phase ladder of the quantum Fourier transform.
-
-    Used by the shift-and-add multiplier workload.  Angles below are the
-    standard pi/2^k schedule; ``inverse`` negates them.
-    """
-    sign = -1.0 if inverse else 1.0
-    ops: List[Gate] = []
-    n = len(qubits)
-    order = range(n)
-    for i in order:
-        ops.append(g.h(qubits[i]))
-        for j in range(i + 1, n):
-            ops.extend(
-                controlled_phase(sign * math.pi / (2 ** (j - i)), qubits[j], qubits[i])
-            )
-    if inverse:
-        ops.reverse()
-        ops = [op.dagger() if op.name not in (g.H,) else op for op in ops]
-    return ops

@@ -130,7 +130,7 @@ def mutate_reorder_dependents(schedule: Schedule, ctx: MutationContext) -> Optio
         if op.gate_index is not None:
             ops_by_node.setdefault(op.gate_index, []).append(i)
     for node in ctx.dag.nodes:
-        for pred_index in node.wire_predecessors:
+        for pred_index in node.predecessors - node.barrier_predecessors:
             shared = set(node.qubits) & set(ctx.dag.node(pred_index).qubits)
             if not shared:
                 continue
@@ -262,7 +262,7 @@ def run_self_test(
             continue
         report = validate_schedule(
             mutated,
-            dag=ctx.dag,
+            circuit=circuit,
             distill_times=ctx.distill_times,
             expected_t_states=ctx.expected_t_states,
             label=f"mutation:{name}",

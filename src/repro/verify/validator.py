@@ -9,10 +9,11 @@ must satisfy:
 * every cell in an op's :meth:`~repro.scheduling.events.ScheduledOp.resource_cells`
   footprint is locked exclusively for the op's duration;
 * ops never start before their declared external release (``min_start``);
-* the source circuit's DAG order is respected — wire dependencies per
-  shared qubit, barrier pseudo-edges by full serialisation;
-* every DAG node materialised into at least one op, and no op references a
-  gate outside the DAG;
+* the source circuit's program order, read in one walk of its gate stream
+  (no DAG is built), is respected — wire dependencies per shared qubit,
+  barrier pseudo-edges by full serialisation;
+* every gate of the circuit materialised into at least one op, and no op
+  references a gate outside the circuit;
 * magic states are conserved per factory: the k-th earliest consumption
   attributed to a factory cannot start before ``k * distill_time`` (the
   distillation pipeline's hard lower bound — a state consumed before its
@@ -53,7 +54,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from ..arch.grid import Position
 from ..ir import gates as g
 from ..ir.circuit import Circuit
-from ..ir.dag import DagCircuit
 from ..perf.profiler import profiled
 from ..scheduling.events import (
     MOVE_KINDS,
@@ -90,7 +90,6 @@ def env_forced() -> bool:
 def validate_schedule(
     schedule: Schedule,
     circuit: Optional[Circuit] = None,
-    dag: Optional[DagCircuit] = None,
     distill_times: Optional[Mapping[int, float]] = None,
     expected_t_states: Optional[int] = None,
     label: str = "",
@@ -100,9 +99,8 @@ def validate_schedule(
 
     Args:
         schedule: the schedule under test.
-        circuit: source program; enables the DAG-dependency, barrier and
-            coverage checks (ignored when ``dag`` is given directly).
-        dag: pre-built dependency DAG of the source program.
+        circuit: source program; enables the dependency, barrier and
+            coverage checks.
         distill_times: factory index -> distillation round time; enables the
             per-factory magic-state pipeline check.
         expected_t_states: total magic states the circuit consumes under
@@ -110,16 +108,15 @@ def validate_schedule(
         label: free-form tag carried into the report (e.g. ``"raw"``).
         eps: float comparison tolerance.
     """
-    if dag is None and circuit is not None:
-        dag = DagCircuit(circuit)
+    program = None if circuit is None else _Program(circuit)
     validator = ScheduleValidator(schedule, eps=eps, label=label)
     validator.check_structure()
-    validator.check_footprints(dag=dag)
+    validator.check_footprints(None if program is None else program.gates)
     validator.check_timelines()
     validator.check_cell_conflicts()
     validator.check_min_start()
-    if dag is not None:
-        validator.check_dependencies(dag)
+    if program is not None:
+        validator.check_dependencies(program)
     if distill_times is not None or expected_t_states is not None:
         validator.check_magic_states(distill_times or {}, expected_t_states)
     return validator.report
@@ -159,6 +156,63 @@ def _rows(column) -> Tuple[Sequence, Sequence[int]]:
 def _values(column) -> list:
     """A packed column as a list: one value object per op, as ops hold them."""
     return column.tolist() if isinstance(column, array) else column
+
+
+class _Program:
+    """The circuit's program order, from one walk of its gate stream.
+
+    Gates are numbered as :class:`~repro.ir.dag.DagCircuit` numbers its
+    nodes (barriers are not gates), and a gate's predecessor set gets the
+    DAG node's insertions in their order, so the two sets iterate alike.
+    ``barrier_preds`` maps a gate behind a barrier to the predecessors the
+    barrier gives it; ``wires`` holds ``pred, gate, qubit`` flat for every
+    other predecessor and every qubit the two gates share.
+    """
+
+    __slots__ = ("gates", "preds", "barrier_preds", "wires")
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.gates: List[g.Gate] = []
+        self.preds: List[set] = []
+        self.barrier_preds: Dict[int, set] = {}
+        self.wires: List[int] = []
+        gates, preds, barrier_preds, wires = (
+            self.gates, self.preds, self.barrier_preds, self.wires
+        )
+        last_on_wire: List[Optional[int]] = [None] * circuit.num_qubits
+        # qubit -> the gates its next gate waits for behind a barrier
+        pending: Dict[int, Tuple[int, ...]] = {}
+        for gate in circuit:
+            qubits = gate.qubits
+            if gate.name == g.BARRIER:
+                span = qubits or range(circuit.num_qubits)
+                # consecutive barriers chain
+                frontier = {last_on_wire[q] for q in span}.union(
+                    *(pending.get(q, ()) for q in span)
+                )
+                frontier.discard(None)
+                pending.update(dict.fromkeys(span, tuple(sorted(frontier))))
+                continue
+            index = len(gates)
+            gates.append(gate)
+            before = set()
+            for qubit in qubits:
+                prev = last_on_wire[qubit]
+                if prev is not None:
+                    before.add(prev)
+                for prev in pending.pop(qubit, ()) if pending else ():
+                    if prev not in before:
+                        before.add(prev)
+                        barrier_preds.setdefault(index, set()).add(prev)
+                last_on_wire[qubit] = index
+            preds.append(before)
+            behind_barrier = barrier_preds.get(index, ())
+            for prev in before:
+                if prev not in behind_barrier:
+                    shared = gates[prev].qubits
+                    for qubit in qubits:
+                        if qubit in shared:
+                            wires += (prev, index, qubit)
 
 
 class _Scan:
@@ -208,8 +262,10 @@ class ScheduleValidator:
         self._uid, self._start, self._duration, self._min_start, self._gate_index = map(
             _values, (uid, start, duration, min_start, gate_index)
         )
-        #: a packed gate-index column holds only ints
-        self._int_gates = isinstance(gate_index, array)
+        #: the gate-index column holds only ints (a packed one always does)
+        self._int_gates = isinstance(gate_index, array) or {int} == set(
+            map(type, self._gate_index)
+        )
         self._kind, self._name, self._qubits, self._cells, self._note = map(
             _rows, (kind, name, qubits, cells, note)
         )
@@ -362,12 +418,14 @@ class ScheduleValidator:
                     message=f"op {uid} has negative duration {duration}",
                 )
 
-    def check_footprints(self, dag: Optional[DagCircuit] = None) -> None:
+    def check_footprints(self, gates: Optional[Sequence[g.Gate]] = None) -> None:
         """Cell footprints are structurally complete for the op's kind.
 
         A shrunk footprint (a move without its cell pair, an
         ancilla-consuming gate with no locked cell) would make the
         exclusivity checks vacuously pass, so it is a violation in itself.
+        ``gates`` (the circuit's, by int gate index) tells which other
+        gates consume a magic state.
         """
         ctable = self._cells[0]
         not_a_pair = [len(cells) != 2 for cells in ctable]
@@ -398,12 +456,14 @@ class ScheduleValidator:
             needs_cell = name_needs.get(row)
             if needs_cell is None:
                 needs_cell = name_needs[row] = ntable[row] in _CELL_REQUIRED
-            if not needs_cell and dag is not None and gate_index is not None:
-                if 0 <= gate_index < len(dag.nodes):
-                    gate = dag.node(gate_index).gate
-                    # a T-like rotation consumes a magic state per op, so
-                    # each of its consume ops must lock a drop cell
-                    needs_cell = gate.is_t_like and gate.name != g.SWAP
+            if (
+                not needs_cell and gates is not None
+                and isinstance(gate_index, int) and 0 <= gate_index < len(gates)
+            ):
+                gate = gates[gate_index]
+                # a T-like rotation consumes a magic state per op, so each
+                # of its consume ops must lock a drop cell
+                needs_cell = gate.is_t_like and gate.name != g.SWAP
             if needs_cell:
                 self._flag(
                     code="footprint", uid=uids[i], gate_index=gate_index,
@@ -488,65 +548,84 @@ class ScheduleValidator:
 
     # -- program order -------------------------------------------------------
 
-    def check_dependencies(self, dag: DagCircuit) -> None:
-        """DAG order: wire edges per shared qubit, barrier edges in full.
+    def check_dependencies(self, program: _Program) -> None:
+        """Program order: wire edges per shared qubit, barrier edges in full.
 
         A wire edge only constrains the qubits the two gates share (moving
         an operand of the successor early is legal while the predecessor
         still executes on its other operands).  A barrier edge links gates
         on disjoint qubits, so it serialises *everything*: no op of the
-        successor node may start before the predecessor node has fully
-        finished.
+        successor gate may start before the predecessor gate has fully
+        finished.  When every op names a gate by an int index, every gate
+        has an op and no barrier orders the circuit, a C-level screen over
+        the wire edges stands in for the walk unless it finds a late one.
         """
-        nodes, gate_indices = dag.nodes, self._gate_index
-        # a packed column holds ints only, so its extremes tell; anything
-        # else (None, a float) is looked at op by op
-        if not self._int_gates or gate_indices and (
-            min(gate_indices) < 0 or max(gate_indices) >= len(nodes)
-        ):
-            self._walk_gate_indices(len(nodes))
+        gates, gate_indices = program.gates, self._gate_index
+        # an all-int column's extremes tell; anything else (None, a float)
+        # is looked at op by op
+        regular = self._int_gates and (
+            not gate_indices
+            or min(gate_indices) >= 0 and max(gate_indices) < len(gates)
+        )
+        if not regular:
+            self._walk_gate_indices(len(gates))
         present = set(gate_indices)
-        for node in nodes:
-            if node.index not in present:
+        for index, gate in enumerate(gates):
+            if index not in present:
                 self._flag(
-                    code="coverage", gate_index=node.index,
-                    message=(
-                        f"DAG node {node.index} ({node.gate}) produced no "
-                        f"scheduled op"
-                    ),
+                    code="coverage", gate_index=index,
+                    message=f"DAG node {index} ({gate}) produced no scheduled op",
                 )
 
         scan = self._scan()
+        if regular and len(present) == len(gates) and not program.barrier_preds:
+            wires, stride = program.wires, repeat(scan.stride)
+            try:
+                dense = list(map(scan.qubit_ids.__getitem__, wires[2::3]))
+                pred_end = map(scan.wire_end.__getitem__, map(
+                    add, map(mul, wires[::3], stride), dense,
+                ))
+                first = map(scan.wire_first.__getitem__, map(
+                    add, map(mul, wires[1::3], stride), dense,
+                ))
+                late = any(map(lt, map(
+                    add, map(self._start.__getitem__, first), repeat(self.eps),
+                ), pred_end))
+            except KeyError:  # a qubit, or a gate on a wire, without an op
+                late = True
+            if not late:
+                self.report.checks["dependency"] = sum(map(len, program.preds))
+                return
         wire_first, wire_end = scan.wire_first, scan.wire_end
         qubit_ids, gate_ids, stride = scan.qubit_ids, scan.gate_ids, scan.stride
         starts, uids = self._start, self._uid
-        by_node = self._node_spans({
+        barrier_preds = program.barrier_preds
+        by_gate = self._gate_spans({
             index
-            for node in nodes if node.barrier_predecessors
-            for index in (node.index, *node.barrier_predecessors)
+            for gate, before in barrier_preds.items()
+            for index in (gate, *before)
         })
         eps = self.eps
         edges = 0
-        for node in nodes:
-            index = node.index
-            if index not in present or not node.predecessors:
+        for index, preds in enumerate(program.preds):
+            if index not in present or not preds:
                 continue
-            node_key = (index if gate_ids is None else gate_ids[index]) * stride
-            node_qubits = set(node.gate.qubits)
-            barrier_predecessors = node.barrier_predecessors
-            for pred_index in node.predecessors:
+            gate_key = (index if gate_ids is None else gate_ids[index]) * stride
+            gate_qubits = set(gates[index].qubits)
+            behind_barrier = barrier_preds.get(index, ())
+            for pred_index in preds:
                 if pred_index not in present:
                     continue
                 edges += 1
-                if pred_index in barrier_predecessors:
-                    node_start, first_uid, _ = by_node[index]
-                    pred_end = by_node[pred_index][2]
-                    if node_start + eps < pred_end:
+                if pred_index in behind_barrier:
+                    gate_start, first_uid, _ = by_gate[index]
+                    pred_end = by_gate[pred_index][2]
+                    if gate_start + eps < pred_end:
                         self._flag(
                             code="barrier", uid=first_uid, gate_index=index,
-                            time=node_start,
+                            time=gate_start,
                             message=(
-                                f"gate {index} starts at {node_start}, crossing "
+                                f"gate {index} starts at {gate_start}, crossing "
                                 f"the barrier behind gate {pred_index} "
                                 f"(finishes at {pred_end})"
                             ),
@@ -555,22 +634,22 @@ class ScheduleValidator:
                 pred_key = (
                     pred_index if gate_ids is None else gate_ids[pred_index]
                 ) * stride
-                for qubit in node_qubits & set(nodes[pred_index].gate.qubits):
+                for qubit in gate_qubits & set(gates[pred_index].qubits):
                     dense = qubit_ids.get(qubit)
                     if dense is None:
                         continue
                     pred_end = wire_end.get(pred_key + dense)
-                    first = wire_first.get(node_key + dense)
+                    first = wire_first.get(gate_key + dense)
                     if pred_end is None or first is None:
                         continue
-                    node_start = starts[first]
-                    if node_start + eps < pred_end:
+                    gate_start = starts[first]
+                    if gate_start + eps < pred_end:
                         self._flag(
                             code="dependency", uid=uids[first], qubit=qubit,
-                            gate_index=index, time=node_start,
+                            gate_index=index, time=gate_start,
                             message=(
                                 f"gate {index} runs on qubit {qubit} at "
-                                f"{node_start}, before predecessor gate "
+                                f"{gate_start}, before predecessor gate "
                                 f"{pred_index} finishes at {pred_end}"
                             ),
                         )
@@ -583,6 +662,11 @@ class ScheduleValidator:
                     code="coverage", uid=uid,
                     message=f"op {uid} carries no gate index",
                 )
+            elif not isinstance(gate_index, int):
+                self._flag(
+                    code="coverage", uid=uid, gate_index=gate_index,
+                    message=f"op {uid} carries a non-integer gate index {gate_index!r}",
+                )
             elif not 0 <= gate_index < num_nodes:
                 self._flag(
                     code="coverage", uid=uid, gate_index=gate_index,
@@ -592,7 +676,7 @@ class ScheduleValidator:
                     ),
                 )
 
-    def _node_spans(self, wanted: set) -> Dict[object, list]:
+    def _gate_spans(self, wanted: set) -> Dict[object, list]:
         """Gate index in ``wanted`` -> [earliest start, uid of the first op
         there, latest end] over all its ops, folded in op order."""
         spans: Dict[object, list] = {}

@@ -10,8 +10,6 @@ with operand width for broader studies.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..ir.circuit import Circuit
 from ..synthesis.decompositions import toffoli
 
@@ -59,16 +57,6 @@ def cdkm_adder(num_bits: int) -> Circuit:
         uma(a(i - 1), b(i), a(i))
     uma(carry_in, b(0), a(0))
     return qc
-
-
-def controlled_increment(control: int, targets: List[int], qc: Circuit) -> None:
-    """Controlled +1 on a little-endian register via a Toffoli ladder."""
-    # Propagate carries from the least significant bit upward.
-    for i in range(len(targets) - 1, 0, -1):
-        # target[i] flips when control and all lower bits are 1; we use a
-        # linear ladder with the immediately-lower bit as the carry chain.
-        qc.extend(toffoli(control, targets[i - 1], targets[i]))
-    qc.cx(control, targets[0])
 
 
 def shift_add_multiplier(num_bits: int) -> Circuit:

@@ -20,6 +20,7 @@ import pytest
 from repro.compiler import codec
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
+from repro.ir.dag import DagCircuit
 from repro.perf import bench_cases
 from repro.scheduling.events import Schedule, ScheduledOp
 from repro.service import CachePeerThread, RemoteCache, protocol
@@ -191,6 +192,19 @@ class TestOpsBuiltOnFirstTouch:
         monkeypatch.setattr(ScheduledOp, "__init__", counting)
         return made
 
+    @pytest.fixture
+    def dags(self, monkeypatch):
+        """A list that grows by one per DagCircuit constructed."""
+        made = []
+        init = DagCircuit.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DagCircuit, "__init__", counting)
+        return made
+
     def test_summary_readers_build_no_op(self, fast_matrix, constructions):
         blobs = [codec.encode(result) for result in fast_matrix]
         expected = [result.fingerprint() for result in fast_matrix]
@@ -218,10 +232,11 @@ class TestOpsBuiltOnFirstTouch:
         assert constructions == []
 
     def test_replay_validation_builds_no_op(
-        self, fast_inputs, fast_matrix, constructions
+        self, fast_inputs, fast_matrix, constructions, dags
     ):
         blobs = [codec.encode(result) for result in fast_matrix]
         constructions.clear()
+        dags.clear()
         for blob, (circuit, config) in zip(blobs, fast_inputs):
             decoded = codec.decode(blob)
             report = validate_result(decoded, circuit, config)
@@ -229,9 +244,10 @@ class TestOpsBuiltOnFirstTouch:
             assert report.ops_checked == len(decoded.schedule) > 0
             assert not decoded.schedule.built
         assert constructions == []
+        assert dags == []
 
     def test_remote_hit_builds_no_op_and_promotes_the_peer_bytes(
-        self, tmp_path, fast_inputs, fast_matrix, constructions
+        self, tmp_path, fast_inputs, fast_matrix, constructions, dags
     ):
         (circuit, config), result = fast_inputs[-1], fast_matrix[-1]
         key = job_key(circuit, config)
@@ -241,9 +257,11 @@ class TestOpsBuiltOnFirstTouch:
             disk = CompileCache(tmp_path / "local")
             engine = SweepEngine(cache=disk, remote=RemoteCache(*peer.address))
             constructions.clear()
+            dags.clear()
             hit = engine.compile(circuit, config)
             engine.shutdown()
         assert constructions == []
+        assert dags == []
         assert engine.counters.remote_hits == 1
         assert engine.counters.compiled == 0
         assert not hit.schedule.built

@@ -25,6 +25,7 @@ from repro.arch.instruction_set import InstructionSet
 from repro.compiler import CompilerConfig, FaultTolerantCompiler, codec
 from repro.fuzz import load_artifact
 from repro.fuzz.artifact import corpus_paths
+from repro.fuzz.generators import generate_scenario
 from repro.ir import gates as g
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DagCircuit
@@ -1197,7 +1198,7 @@ class ReferenceValidator:
             if op.kind != "gate":
                 continue
             needs_cell = op.name in _REF_CELL_REQUIRED
-            if not needs_cell and dag is not None and op.gate_index is not None:
+            if not needs_cell and dag is not None and isinstance(op.gate_index, int):
                 if 0 <= op.gate_index < len(dag.nodes):
                     gate = dag.node(op.gate_index).gate
                     needs_cell = gate.is_t_like and gate.name != g.SWAP
@@ -1279,7 +1280,15 @@ class ReferenceValidator:
                     message=f"op {op.uid} carries no gate index",
                 )
                 continue
-            if not 0 <= op.gate_index < len(dag.nodes):
+            if not isinstance(op.gate_index, int):
+                self._flag(
+                    code="coverage", uid=op.uid, gate_index=op.gate_index,
+                    message=(
+                        f"op {op.uid} carries a non-integer gate index "
+                        f"{op.gate_index!r}"
+                    ),
+                )
+            elif not 0 <= op.gate_index < len(dag.nodes):
                 self._flag(
                     code="coverage", uid=op.uid, gate_index=op.gate_index,
                     message=(
@@ -1438,22 +1447,26 @@ class Case:
 
     def assert_same_report(self, schedule, what, eps=EPS):
         return assert_same_report(
-            self.result, schedule, self.dag, self.distill_times,
-            f"{self.name}: {what}", eps,
+            self.result, schedule, self.circuit, self.distill_times,
+            f"{self.name}: {what}", eps, dag=self.dag,
         )
 
 
-def assert_same_report(result, schedule, dag, distill_times, what, eps=EPS):
-    """The validator's report on ``schedule`` and on its decoded copy
-    equals the op-by-op walk's; returns that report as a dict."""
+def assert_same_report(
+    result, schedule, circuit, distill_times, what, eps=EPS, dag=None,
+):
+    """The validator's report on ``schedule`` and on its decoded copy,
+    given the circuit, equals the op-by-op walk's over the circuit's
+    :class:`DagCircuit`; returns that report as a dict."""
     expected = _report_text(reference_validate(
-        schedule, dag, distill_times, result.t_states, eps=eps,
+        schedule, DagCircuit(circuit) if dag is None else dag, distill_times,
+        result.t_states, eps=eps,
     ))
     for form, candidate in (
         ("built", schedule), ("decoded", _decoded(result, schedule)),
     ):
         got = validate_schedule(
-            candidate, dag=dag, distill_times=distill_times,
+            candidate, circuit=circuit, distill_times=distill_times,
             expected_t_states=result.t_states, eps=eps,
         )
         assert _report_text(got) == expected, f"{what} ({form})"
@@ -1467,6 +1480,39 @@ def _barriered():
     circuit.barrier()
     circuit.h(2).cx(2, 3).t(3)
     return circuit
+
+
+def _barrier_shapes():
+    """Barriers the matrix never has: back to back with no gate between,
+    over part of the register, and on a wire no gate has touched yet."""
+    consecutive = Circuit(3, name="consecutive-barriers")
+    consecutive.h(0).cx(0, 1).t(1)
+    consecutive.barrier().barrier(1, 2).barrier()
+    consecutive.t(2).cx(1, 2).h(0)
+    partial = Circuit(4, name="partial-barrier")
+    partial.h(0).cx(0, 1).t(2).t(3)
+    partial.barrier(1, 2)
+    partial.h(1).t(3).cx(2, 3).cx(0, 1)
+    fresh = Circuit(3, name="barrier-on-a-fresh-wire")
+    fresh.barrier(2).h(0).t(0)
+    fresh.barrier(0, 2)
+    fresh.t(2).cx(1, 2).barrier(1).h(1)
+    return [consecutive, partial, fresh]
+
+
+@pytest.fixture(scope="module")
+def barrier_cases():
+    """The hand-made barrier shapes, then every seed-0 fuzz scenario
+    among the first 80 whose circuit has a barrier."""
+    cases = [
+        Case(circuit.name, circuit, CompilerConfig(routing_paths=3))
+        for circuit in _barrier_shapes()
+    ]
+    for index in range(80):
+        scenario = generate_scenario(0, index)
+        if any(gate.name == g.BARRIER for gate in scenario.circuit):
+            cases.append(Case(scenario.name, scenario.circuit, scenario.config))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -1583,6 +1629,85 @@ class TestValidatorAgainstOpWalk:
                 "min-start", "dependency", "coverage", "magic-count",
                 "magic-pipeline"} <= codes
 
+    def test_barriered_circuits(self, barrier_cases):
+        assert len(barrier_cases) > 20
+        rng = random.Random(28)
+        codes = set()
+        for case in barrier_cases:
+            report = case.assert_same_report(case.result.schedule, "as compiled")
+            assert report["ok"]
+            for trial in range(4):
+                ops = list(case.result.schedule.ops)
+                for _ in range(rng.choice((1, 2, 3))):
+                    perturb(rng, case, ops)
+                report = case.assert_same_report(Schedule(ops=ops), f"trial {trial}")
+                codes.update(v["code"] for v in report["violations"])
+        assert {"barrier", "dependency", "coverage"} <= codes
+
+    def test_float_gate_indices(self, oracle_cases):
+        """A float gate index is flagged, and counts for the gate it
+        equals.  Built schedules only: the codec admits an int or None in
+        that column."""
+        case = oracle_cases[-1]
+        ops = list(case.result.schedule.ops)
+        indexed = [k for k, op in enumerate(ops) if op.gate_index is not None]
+        for k in indexed[::7]:
+            ops[k] = replace(ops[k], gate_index=float(ops[k].gate_index))
+        k = indexed[1]
+        ops[k] = replace(ops[k], kind="gate", name=g.S, cells=(), gate_index=1.0)
+        schedule = Schedule(ops=ops)
+        expected = _report_text(reference_validate(
+            schedule, case.dag, case.distill_times, case.result.t_states,
+        ))
+        got = validate_schedule(
+            schedule, circuit=case.circuit, distill_times=case.distill_times,
+            expected_t_states=case.result.t_states,
+        )
+        assert _report_text(got) == expected
+        assert got.count("coverage") == len(indexed[::7]) + 1
+
+    def test_edge_to_a_gate_past_the_next_on_the_wire(self, oracle_cases):
+        """Gate 0 shares qubit 1 with gate 2 though gate 1 runs between
+        them there; with gate 1 ending before it starts, only that edge
+        is late, so the screen must see it too."""
+        circuit = Circuit(2, name="skip")
+        circuit.cx(0, 1).h(1).cx(0, 1)
+        ops = [
+            ScheduledOp(0, "gate", g.CX, (0, 1), ((0, 0),), 0.0, 2.0, gate_index=0),
+            ScheduledOp(1, "gate", g.H, (1,), ((1, 1),), 2.0, -1.0, gate_index=1),
+            ScheduledOp(2, "gate", g.CX, (1,), ((2, 2),), 1.5, 1.0, gate_index=2),
+            ScheduledOp(3, "gate", g.CX, (0,), ((3, 3),), 3.0, 1.0, gate_index=2),
+        ]
+        report = assert_same_report(
+            oracle_cases[0].result, Schedule(ops=ops), circuit, {}, "skip",
+        )
+        late = [v for v in report["violations"] if v["code"] == "dependency"]
+        assert [(v["gate_index"], v["qubit"]) for v in late] == [(2, 1)]
+
+    def test_violation_order_follows_the_dag_predecessor_sets(self, oracle_cases):
+        """Gate 10 follows gate 9 on its wire and gate 1 across a barrier;
+        9 and 1 share a slot in a small set, so the set iterates them in
+        insertion order, and the two late edges come out in the DAG's."""
+        circuit = Circuit(2, name="collide")
+        circuit.h(0).h(1)
+        for _ in range(8):
+            circuit.h(0)
+        circuit.barrier(0, 1).h(0)
+        assert list(DagCircuit(circuit).node(10).predecessors) == [9, 1]
+        times = [(0.0, 1.0), (0.0, 5.0)] + [(t, 1.0) for t in range(1, 9)] + [(3.0, 1.0)]
+        ops = [
+            ScheduledOp(index, "gate", g.H, gate.qubits, ((index, index),),
+                        start, duration, gate_index=index)
+            for index, (gate, (start, duration)) in enumerate(zip(
+                (gate for gate in circuit if gate.name != g.BARRIER), times,
+            ))
+        ]
+        report = assert_same_report(
+            oracle_cases[0].result, Schedule(ops=ops), circuit, {}, "collide",
+        )
+        assert [v["code"] for v in report["violations"]
+                if v["gate_index"] == 10] == ["timeline", "dependency", "barrier"]
+
     def test_tolerance_and_empty_schedules(self, oracle_cases):
         case = oracle_cases[0]
         rng = random.Random(26)
@@ -1612,7 +1737,6 @@ class TestValidatorAgainstOpWalk:
         closer than the tolerance sort as the walk sorts them."""
         circuit = Circuit(2, name="tie")
         circuit.h(0).cx(0, 1)
-        dag = DagCircuit(circuit)
         result = oracle_cases[0].result
 
         def op(uid, kind, qubits, cells, start, duration, gate_index):
@@ -1632,7 +1756,7 @@ class TestValidatorAgainstOpWalk:
             op(3, "gate", (), ((3, 3),), 5.0 - 1e-7, 10.0, 1),
         ]
         for ops, code in ((tie, "dependency"), (near, "cell-conflict")):
-            report = assert_same_report(result, Schedule(ops=ops), dag, {}, code)
+            report = assert_same_report(result, Schedule(ops=ops), circuit, {}, code)
             assert code in {v["code"] for v in report["violations"]}
 
         barriered = Circuit(2, name="tie-barrier")
@@ -1646,7 +1770,7 @@ class TestValidatorAgainstOpWalk:
             op(3, "gate", (1,), ((1, 2),), 1.0, 1.0, 1),
         ]
         report = assert_same_report(
-            result, Schedule(ops=tie), DagCircuit(barriered), {}, "barrier",
+            result, Schedule(ops=tie), barriered, {}, "barrier",
         )
         assert "barrier" in {v["code"] for v in report["violations"]}
 
@@ -1654,6 +1778,6 @@ class TestValidatorAgainstOpWalk:
                               gate_index=0, note="magic-state from f0")
         same_start = [consume, replace(consume, uid=3, qubits=(1,), cells=((2, 2),))]
         report = assert_same_report(
-            result, Schedule(ops=same_start), dag, {0: 11.0}, "same start",
+            result, Schedule(ops=same_start), circuit, {0: 11.0}, "same start",
         )
         assert "magic-pipeline" in {v["code"] for v in report["violations"]}

@@ -8,7 +8,6 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.mapping import choose_mapping
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.ir.circuit import Circuit
-from repro.ir.dag import DagCircuit
 from repro.scheduling.events import MAGIC_NOTE_PREFIX, Schedule, ScheduledOp
 from repro.scheduling.scheduler import LatticeSurgeryScheduler
 from repro.verify import (
@@ -68,8 +67,9 @@ class TestFootprint:
         assert validate_schedule(Schedule([good])).ok
 
     def test_t_like_rz_without_drop_cell_flagged_via_circuit(self):
-        # the circuit= entry point (what --validate uses) must derive the
-        # DAG before the footprint check so t-like rz consumes need a cell
+        # the circuit= entry point (what --validate uses) must read the
+        # circuit's gates before the footprint check so t-like rz consumes
+        # need a cell
         circuit = Circuit(1).rz(0.3, 0)
         bad = op(0, name="rz", duration=2.5, gate_index=0)
         report = validate_schedule(Schedule([bad]), circuit=circuit)
@@ -197,6 +197,19 @@ class TestDependencies:
         ])
         report = validate_schedule(schedule, circuit=circuit)
         assert report.count("coverage") >= 1
+
+    def test_float_gate_index_is_a_coverage_violation(self):
+        # a cell-less gate op whose index is a float once crashed the
+        # footprint check's gate lookup
+        schedule = Schedule(ops=[
+            op(0, name="s", qubits=(0,), gate_index=0),
+            op(1, name="s", qubits=(1,), gate_index=1.0),
+        ])
+        report = validate_schedule(schedule, circuit=Circuit(2).s(0).s(1))
+        assert [(v.code, v.uid, v.gate_index) for v in report.violations] == [
+            ("coverage", 1, 1.0),
+        ]
+        assert "non-integer gate index 1.0" in report.violations[0].message
 
 
 class TestBarrier:
