@@ -80,11 +80,6 @@ class Cell:
     role: CellRole
     occupant: Optional[int] = None  # program qubit id, or None
 
-    @property
-    def is_free(self) -> bool:
-        """A cell is free when nothing occupies it and it is routable."""
-        return self.occupant is None and self.role in _PARKABLE_ROLES
-
 
 class GridError(RuntimeError):
     """Raised on invalid grid operations (e.g. moving onto an occupied cell)."""

@@ -42,12 +42,12 @@ addressing (:mod:`repro.arch.grid`): ops refer to table rows, not objects.
 column's length, every table index against its table, the type of every
 table and ``j`` value against its field) and then stops: it builds no
 :class:`ScheduledOp`.  The result's schedule holds the checked columns
-(:meth:`Schedule.from_columns`) and builds its ops on first access, so a
-reader of the fingerprint or the summary, of the remembered bytes
+(:meth:`Schedule.from_columns`) and builds ops only when
+:attr:`Schedule.ops` is read, so a reader of the fingerprint or the summary, of the remembered bytes
 (:func:`encoded`), or the replay validator (which reads
 :meth:`Schedule.columns`) never pays for them; ``full`` replies and
 ``to_dict()`` do.  :func:`encode` reads the same :meth:`Schedule.columns`,
-so a built and a decoded schedule encode through one path.
+so a compiled and a decoded schedule encode through one path.
 """
 
 from __future__ import annotations
@@ -229,10 +229,9 @@ def decode(blob: bytes) -> CompilationResult:
     length, each table index within its table, and the type of each table
     and ``j`` value (see :data:`_FIELDS`; a bool is neither an int nor a
     float).  Malformed input raises :class:`CodecError` from this call,
-    never later.  The ops are not built: the schedule keeps the checked
-    columns and builds its :class:`ScheduledOp` list on first access to
-    ``ops`` (``len()``, ``makespan`` and ``num_moves`` read the columns
-    until then).
+    never later.  The ops are not built: the schedule is the checked
+    columns, and only a read of its ``ops`` builds :class:`ScheduledOp`
+    views of them.
 
     The result remembers ``blob`` (see :func:`encoded`), so a tier that
     promotes it re-uses these bytes instead of encoding again.

@@ -88,12 +88,6 @@ class CompilationResult:
             return 1.0
         return self.execution_time / self.lower_bound
 
-    @property
-    def unit_time_vs_lower_bound(self) -> Optional[float]:
-        if self.unit_cost_time is None or self.lower_bound <= 0:
-            return None
-        return self.unit_cost_time / self.lower_bound
-
     def fingerprint(self) -> Dict:
         """Behavioural fingerprint of the compiled schedule.
 

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import threading
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from operator import add, attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from ..arch.grid import Position
 
@@ -25,10 +23,11 @@ MOVE_KINDS = ("move", "evict", "restore")
 class ScheduledOp:
     """One scheduled lattice-surgery operation.
 
-    One row of a :class:`Schedule`'s columns, built on first access to
-    :attr:`Schedule.ops`.  Treated as immutable (copy with
-    :func:`dataclasses.replace`); not ``frozen=True`` because a schedule
-    builds tens of thousands at once and the frozen init is ~6x slower.
+    A view of one row of a :class:`Schedule`'s columns, built by each read
+    of :attr:`Schedule.ops`.  Treated as immutable (copy with
+    :func:`dataclasses.replace`, and make a new :class:`Schedule` from the
+    edited ops); not ``frozen=True`` because a read builds tens of
+    thousands at once and the frozen init is ~6x slower.
 
     Attributes:
         uid: unique, monotonically increasing id in schedule order.
@@ -140,10 +139,6 @@ _KIND = ScheduledOp.__slots__.index("kind")
 _START = ScheduledOp.__slots__.index("start")
 _DURATION = ScheduledOp.__slots__.index("duration")
 
-#: guards the one-time build of a column-backed schedule's ops.
-_BUILD_LOCK = threading.Lock()
-
-
 class TableColumn:
     """A column held as its distinct values plus one table row per op."""
 
@@ -179,72 +174,48 @@ class TableColumn:
 
 
 class Schedule:
-    """An ordered list of :class:`ScheduledOp` plus summary statistics.
+    """A lattice-surgery op schedule held as its columns.
 
-    A schedule made by :meth:`from_columns` (compiled or decoded) holds its
-    ops as columns and builds the :class:`ScheduledOp` objects on first
-    access to :attr:`ops`, then drops the columns.  ``len()``,
-    :attr:`makespan` and :attr:`num_moves` read the columns; the Sec. V-D
-    pass, the replay validator and the encoder read :meth:`columns`.
+    One column per :class:`ScheduledOp` field, in field order (a sequence or
+    a :class:`TableColumn` each).  The scheduler, the Sec. V-D pass and the
+    codec make schedules with :meth:`from_columns`; ``Schedule(ops)``
+    derives the columns from a list of ops once.  ``len()``,
+    :attr:`makespan` and :attr:`num_moves` read the columns, and so do the
+    Sec. V-D pass, the replay validator and the encoder (:meth:`columns`).
+    :attr:`ops` builds a fresh tuple of :class:`ScheduledOp` on each read.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, ops: Optional[List[ScheduledOp]] = None) -> None:
-        self._ops = [] if ops is None else ops
-        self._columns: Optional[tuple] = None
+    def __init__(self, ops: Sequence[ScheduledOp] = ()) -> None:
+        columns = []
+        for field in ScheduledOp.__slots__:
+            column = list(map(attrgetter(field), ops))
+            columns.append(TableColumn.of(column) if field in TABLE_FIELDS else column)
+        self._columns = tuple(columns)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Schedule":
         """A schedule over one equal-length column per op field, in
         :class:`ScheduledOp` field order (a sequence or a
-        :class:`TableColumn` each); the ops are built on first access."""
-        schedule = cls()
-        schedule._ops = None
+        :class:`TableColumn` each)."""
+        schedule = cls.__new__(cls)
         schedule._columns = tuple(columns)
         return schedule
 
     def columns(self) -> tuple:
         """One column per :class:`ScheduledOp` field, in field order.
 
-        The stored columns of an unbuilt schedule, else columns derived
-        from the ops on each call: a list per field, or a
-        :class:`TableColumn` for each of :data:`TABLE_FIELDS` whose values
-        are all hashable.  Treat them as read-only.
+        A list per field, or a :class:`TableColumn` for each of
+        :data:`TABLE_FIELDS` whose values are all hashable.  Treat them as
+        read-only.
         """
-        columns = self._columns
-        if columns is not None:
-            return columns
-        ops = self.ops
-        derived = []
-        for field in ScheduledOp.__slots__:
-            column = list(map(attrgetter(field), ops))
-            derived.append(TableColumn.of(column) if field in TABLE_FIELDS else column)
-        return tuple(derived)
+        return self._columns
 
     @property
-    def built(self) -> bool:
-        """Whether the ops exist as :class:`ScheduledOp` objects."""
-        return self._ops is not None
-
-    @property
-    def ops(self) -> List[ScheduledOp]:
-        ops = self._ops
-        if ops is None:
-            with _BUILD_LOCK:
-                ops = self._ops
-                if ops is None:
-                    # publish the ops before dropping the columns: a reader
-                    # that finds no columns then always finds the ops
-                    ops = self._ops = list(map(ScheduledOp, *self._columns))
-                    self._columns = None
-        return ops
-
-    @ops.setter
-    def ops(self, ops: List[ScheduledOp]) -> None:
-        with _BUILD_LOCK:
-            self._ops = ops
-            self._columns = None
+    def ops(self) -> Tuple[ScheduledOp, ...]:
+        """The ops, built from the columns on each read: read once per pass."""
+        return tuple(map(ScheduledOp, *self._columns))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -254,12 +225,8 @@ class Schedule:
     def __repr__(self) -> str:
         return f"Schedule(ops={self.ops!r})"
 
-    def append(self, op: ScheduledOp) -> None:
-        self.ops.append(op)
-
     def __len__(self) -> int:
-        columns = self._columns
-        return len(self._ops) if columns is None else len(columns[_KIND])
+        return len(self._columns[_KIND])
 
     def __iter__(self) -> Iterator[ScheduledOp]:
         return iter(self.ops)
@@ -267,47 +234,19 @@ class Schedule:
     @property
     def makespan(self) -> float:
         """Total execution time in units of d."""
-        columns = self._columns
-        if columns is None:
-            ends = (op.start + op.duration for op in self._ops)
-        else:
-            ends = map(add, columns[_START], columns[_DURATION])
         best = 0.0
-        for end in ends:
+        for end in map(add, self._columns[_START], self._columns[_DURATION]):
             if end > best:
                 best = end
         return best
 
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for op in self.ops if op.kind == kind)
-
     @property
     def num_moves(self) -> int:
         """Move operations inserted by the compiler (incl. evictions)."""
-        columns = self._columns
-        if columns is None:
-            return sum(1 for op in self._ops if op.kind in MOVE_KINDS)
-        kinds = columns[_KIND]
+        kinds = self._columns[_KIND]
         if isinstance(kinds, TableColumn):
             return kinds.count_in(MOVE_KINDS)
         return sum(1 for kind in kinds if kind in MOVE_KINDS)
-
-    @property
-    def num_gates(self) -> int:
-        return self.count_kind("gate")
-
-    def kind_histogram(self) -> Dict[str, int]:
-        return dict(Counter(op.kind for op in self.ops))
-
-    def name_histogram(self) -> Dict[str, int]:
-        return dict(Counter(op.name for op in self.ops))
-
-    def busy_time(self) -> float:
-        """Sum of all op durations (an activity measure, not the makespan)."""
-        return sum(op.duration for op in self.ops)
-
-    def ops_for_qubit(self, qubit: int) -> List[ScheduledOp]:
-        return [op for op in self.ops if qubit in op.qubits]
 
     def validate(self) -> None:
         """Check per-qubit timelines and cell footprints; raise on conflict.
@@ -331,11 +270,4 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        return cls(ops=[ScheduledOp.from_dict(op) for op in data["ops"]])
-
-    def timeline_text(self, limit: int = 40) -> str:
-        """Human-readable dump of the first ``limit`` ops."""
-        lines = [str(op) for op in self.ops[:limit]]
-        if len(self.ops) > limit:
-            lines.append(f"... ({len(self.ops) - limit} more ops)")
-        return "\n".join(lines)
+        return cls([ScheduledOp.from_dict(op) for op in data["ops"]])

@@ -23,7 +23,7 @@ def resimulate(schedule: Schedule) -> Schedule:
 
     An op whose start does not move keeps its old start value (an int stays
     an int).  The table fields are interned over the result's own ops, so
-    it encodes exactly as the same ops built one by one would.
+    it encodes exactly as ``Schedule(ops)`` of the same ops would.
     """
     uid, kind, name, qubits, cells, starts, duration, min_start, gate_index, note = (
         schedule.columns()

@@ -13,7 +13,7 @@ with a phase exponent of ``i`` so products and conjugations are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 from ..ir import gates as g
 from ..ir.gates import Gate
@@ -224,11 +224,3 @@ class PauliString:
         for gate in gates:
             result = result.conjugated_by(gate)
         return result
-
-
-def pauli_weight_histogram(paulis: Iterable[PauliString]) -> Dict[int, int]:
-    """Histogram of operator weights — used in PPR layout sizing."""
-    hist: Dict[int, int] = {}
-    for p in paulis:
-        hist[p.weight()] = hist.get(p.weight(), 0) + 1
-    return hist

@@ -50,26 +50,35 @@ class MutationOutcome:
         return self.caught or not self.applicable
 
 
-def _rebuild(ops: List[ScheduledOp]) -> Schedule:
-    return Schedule(ops=list(ops))
-
-
-def _consumes(schedule: Schedule) -> List[Tuple[int, ScheduledOp]]:
+def _consumes(ops: List[ScheduledOp]) -> List[Tuple[int, ScheduledOp]]:
     """(index-in-ops, op) of every magic-state consume op."""
     return [
         (i, op)
-        for i, op in enumerate(schedule.ops)
+        for i, op in enumerate(ops)
         if op.kind == "gate" and op.magic_factory() is not None
     ]
 
 
+def _ops_by_node(ops: List[ScheduledOp]) -> Dict[int, List[int]]:
+    """DAG node index -> indices (into ``ops``) of the ops it scheduled."""
+    by_node: Dict[int, List[int]] = {}
+    for i, op in enumerate(ops):
+        if op.gate_index is not None:
+            by_node.setdefault(op.gate_index, []).append(i)
+    return by_node
+
+
 # -- mutation functions -------------------------------------------------------
+#
+# Each reads ``schedule.ops`` (a fresh tuple per read) once, into a list it
+# edits and returns as a new schedule.
 
 
 def mutate_swap_op_times(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Exchange the start times of two ops on one qubit timeline."""
+    ops = list(schedule.ops)
     by_qubit: Dict[int, List[int]] = {}
-    for i, op in enumerate(schedule.ops):
+    for i, op in enumerate(ops):
         if op.duration <= 0:
             continue
         for q in op.qubits:
@@ -78,57 +87,54 @@ def mutate_swap_op_times(schedule: Schedule, ctx: MutationContext) -> Optional[S
         if len(indices) < 2:
             continue
         first, last = indices[0], indices[-1]
-        a, b = schedule.ops[first], schedule.ops[last]
+        a, b = ops[first], ops[last]
         if b.start <= a.start:
             continue
-        ops = list(schedule.ops)
         ops[first] = replace(a, start=b.start)
         ops[last] = replace(b, start=a.start)
-        return _rebuild(ops)
+        return Schedule(ops)
     return None
 
 
 def mutate_shrink_footprint(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Erase the cell footprint of an ancilla-consuming gate op."""
-    for i, op in enumerate(schedule.ops):
+    ops = list(schedule.ops)
+    for i, op in enumerate(ops):
         if op.kind == "gate" and op.cells and op.duration > 0:
-            ops = list(schedule.ops)
             ops[i] = replace(op, cells=())
-            return _rebuild(ops)
+            return Schedule(ops)
     return None
 
 
 def mutate_steal_magic_state(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Consume a magic state before its distillation round completes."""
-    for i, op in _consumes(schedule):
+    ops = list(schedule.ops)
+    for i, op in _consumes(ops):
         distill = ctx.distill_times.get(op.magic_factory())
         if distill is None:
             continue
         early = distill / 2.0
-        ops = list(schedule.ops)
         ops[i] = replace(op, start=early, min_start=early)
-        return _rebuild(ops)
+        return Schedule(ops)
     return None
 
 
 def mutate_duplicate_consume(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Consume one distilled state twice (conservation violation)."""
-    consumes = _consumes(schedule)
+    ops = list(schedule.ops)
+    consumes = _consumes(ops)
     if not consumes:
         return None
     _, op = consumes[-1]
-    max_uid = max(existing.uid for existing in schedule.ops)
-    ops = list(schedule.ops)
+    max_uid = max(existing.uid for existing in ops)
     ops.append(replace(op, uid=max_uid + 1))
-    return _rebuild(ops)
+    return Schedule(ops)
 
 
 def mutate_reorder_dependents(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Start a gate on a shared wire before its predecessor finishes."""
-    ops_by_node: Dict[int, List[int]] = {}
-    for i, op in enumerate(schedule.ops):
-        if op.gate_index is not None:
-            ops_by_node.setdefault(op.gate_index, []).append(i)
+    ops = list(schedule.ops)
+    ops_by_node = _ops_by_node(ops)
     for node in ctx.dag.nodes:
         for pred_index in node.predecessors - node.barrier_predecessors:
             shared = set(node.qubits) & set(ctx.dag.node(pred_index).qubits)
@@ -136,14 +142,14 @@ def mutate_reorder_dependents(schedule: Schedule, ctx: MutationContext) -> Optio
                 continue
             qubit = min(shared)
             pred_ops = [
-                schedule.ops[i]
+                ops[i]
                 for i in ops_by_node.get(pred_index, ())
-                if qubit in schedule.ops[i].qubits
+                if qubit in ops[i].qubits
             ]
             node_indices = [
                 i
                 for i in ops_by_node.get(node.index, ())
-                if qubit in schedule.ops[i].qubits
+                if qubit in ops[i].qubits
             ]
             if not pred_ops or not node_indices:
                 continue
@@ -151,71 +157,68 @@ def mutate_reorder_dependents(schedule: Schedule, ctx: MutationContext) -> Optio
             if pred_first.duration <= 0:
                 continue
             target = node_indices[0]
-            ops = list(schedule.ops)
             ops[target] = replace(
                 ops[target], start=pred_first.start, min_start=0.0
             )
-            return _rebuild(ops)
+            return Schedule(ops)
     return None
 
 
 def mutate_pull_across_barrier(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Start a barrier-successor op before the barrier's floor."""
-    ops_by_node: Dict[int, List[int]] = {}
-    for i, op in enumerate(schedule.ops):
-        if op.gate_index is not None:
-            ops_by_node.setdefault(op.gate_index, []).append(i)
+    ops = list(schedule.ops)
+    ops_by_node = _ops_by_node(ops)
     for node in ctx.dag.nodes:
         for pred_index in node.barrier_predecessors:
             pred_indices = ops_by_node.get(pred_index, ())
             node_indices = ops_by_node.get(node.index, ())
             if not pred_indices or not node_indices:
                 continue
-            pred_end = max(schedule.ops[i].end for i in pred_indices)
+            pred_end = max(ops[i].end for i in pred_indices)
             if pred_end <= 0:
                 continue
             target = node_indices[0]
-            ops = list(schedule.ops)
             ops[target] = replace(ops[target], start=0.0, min_start=0.0)
-            return _rebuild(ops)
+            return Schedule(ops)
     return None
 
 
 def mutate_violate_min_start(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Start an op before its declared external release time."""
-    for i, op in enumerate(schedule.ops):
+    ops = list(schedule.ops)
+    for i, op in enumerate(ops):
         if op.min_start > 0:
-            ops = list(schedule.ops)
             ops[i] = replace(op, start=op.min_start / 2.0)
-            return _rebuild(ops)
+            return Schedule(ops)
     return None
 
 
 def mutate_cell_collision(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Retime one op so its footprint collides with another's."""
+    ops = list(schedule.ops)
     locked = [
         (i, op)
-        for i, op in enumerate(schedule.ops)
+        for i, op in enumerate(ops)
         if op.duration > 0 and op.resource_cells()
     ]
     if len(locked) < 2:
         return None
     (_, a), (j, b) = locked[0], locked[1]
-    ops = list(schedule.ops)
     ops[j] = replace(b, start=a.start, min_start=0.0, cells=a.cells)
-    return _rebuild(ops)
+    return Schedule(ops)
 
 
 def mutate_drop_gate(schedule: Schedule, ctx: MutationContext) -> Optional[Schedule]:
     """Delete every op of one DAG node (the gate silently vanishes)."""
-    with_gate = [op.gate_index for op in schedule.ops if op.gate_index is not None]
+    ops = schedule.ops
+    with_gate = [op.gate_index for op in ops if op.gate_index is not None]
     if not with_gate:
         return None
     victim = with_gate[-1]
-    ops = [op for op in schedule.ops if op.gate_index != victim]
-    if len(ops) == len(schedule.ops):
+    kept = [op for op in ops if op.gate_index != victim]
+    if len(kept) == len(ops):
         return None
-    return _rebuild(ops)
+    return Schedule(kept)
 
 
 #: mutation name -> (function, violation class the validator must raise).

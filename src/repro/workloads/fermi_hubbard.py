@@ -15,7 +15,7 @@ Table I exactly: H 400, CNOT 300, S 100, S† 100, Rz 150.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from ..ir.circuit import Circuit
 from ..synthesis.decompositions import xx_rotation, yy_rotation, zz_rotation
@@ -62,8 +62,3 @@ def fermi_hubbard_2d(
     for a, b in interaction_bonds(side):
         qc.extend(zz_rotation(int_angle, a, b))
     return qc
-
-
-def fermi_hubbard_sizes() -> List[int]:
-    """Lattice sides of the paper's scaling sweep."""
-    return [2, 4, 6, 8, 10]

@@ -16,7 +16,7 @@ field rotations), H 300 (100 initial + 200 field basis changes).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from ..ir.circuit import Circuit
 from ..synthesis.decompositions import zz_rotation
@@ -100,8 +100,3 @@ def ising_1d(
         qc.rz(h_angle, q)
         qc.h(q)
     return qc
-
-
-def ising_sizes() -> List[int]:
-    """Lattice sides used in the paper's scaling study (4..100 qubits)."""
-    return [2, 4, 6, 8, 10]

@@ -26,7 +26,7 @@ versions (they draw from a local xorshift-style generator rather than
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..ir import gates as g
 from ..ir.circuit import Circuit
@@ -225,8 +225,3 @@ def random_qaoa_layers(
         for q in range(num_qubits):
             qc.rx(beta, q)
     return qc
-
-
-def family_names() -> List[str]:
-    """The random program family identifiers (for docs and the fuzzer)."""
-    return ["mixed-stream", "rotation-layers", "qaoa-layers"]

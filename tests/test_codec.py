@@ -22,7 +22,7 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
 from repro.ir.dag import DagCircuit
 from repro.perf import bench_cases
-from repro.scheduling.events import Schedule, ScheduledOp
+from repro.scheduling.events import MOVE_KINDS, Schedule, ScheduledOp
 from repro.service import CachePeerThread, RemoteCache, protocol
 from repro.sweep import CompileCache, SweepEngine, job_key
 from repro.verify import validate_result
@@ -177,7 +177,7 @@ class TestRoundTrip:
 
 
 class TestOpsBuiltOnFirstTouch:
-    """A decoded result holds checked columns; its ops are built when read."""
+    """A schedule holds only its columns; each read of ``ops`` builds them."""
 
     @pytest.fixture
     def constructions(self, monkeypatch):
@@ -216,7 +216,6 @@ class TestOpsBuiltOnFirstTouch:
             assert reply["fingerprint"] == fingerprint
             assert "schedule" not in decoded.to_dict(include_schedule=False)
             assert codec.encoded(decoded) == blob
-            assert not decoded.schedule.built
         assert constructions == []
 
     def test_compile_fingerprint_encode_and_validation_build_no_op(
@@ -228,7 +227,6 @@ class TestOpsBuiltOnFirstTouch:
             assert codec.decode(codec.encode(result)).fingerprint() == result.fingerprint()
             report = validate_result(result, circuit, config)
             assert report.ok, report.summary()
-            assert not result.schedule.built
         assert constructions == []
 
     def test_replay_validation_builds_no_op(
@@ -242,7 +240,6 @@ class TestOpsBuiltOnFirstTouch:
             report = validate_result(decoded, circuit, config)
             assert report.ok, report.summary()
             assert report.ops_checked == len(decoded.schedule) > 0
-            assert not decoded.schedule.built
         assert constructions == []
         assert dags == []
 
@@ -264,23 +261,23 @@ class TestOpsBuiltOnFirstTouch:
         assert dags == []
         assert engine.counters.remote_hits == 1
         assert engine.counters.compiled == 0
-        assert not hit.schedule.built
         assert hit.fingerprint() == result.fingerprint()
         assert disk.get(key) == peer_cache.get(key) == codec.encode(result)
 
-    def test_first_access_builds_every_op_once(self, result, constructions):
-        result.schedule.ops
+    def test_each_read_of_ops_builds_every_op(self, result, constructions):
         decoded = codec.decode(codec.encode(result))
+        expected = result.schedule.ops
         constructions.clear()
         lazy = decoded.fingerprint()
-        assert not decoded.schedule.built
-        assert decoded.schedule.ops == result.schedule.ops
-        built = len(constructions)
-        assert built == len(result.schedule)
-        assert decoded.schedule.built
+        assert constructions == []
+        first = decoded.schedule.ops
+        assert len(constructions) == len(result.schedule)
+        second = decoded.schedule.ops
+        assert len(constructions) == 2 * len(result.schedule)
+        assert type(first) is tuple
+        assert first == second == expected
         assert decoded.fingerprint() == lazy == result.fingerprint()
         assert decoded.to_dict() == result.to_dict()
-        assert len(constructions) == built
 
     def test_summaries_of_odd_columns_match_the_ops(self, result):
         first, second, *rest = result.schedule.ops
@@ -293,13 +290,14 @@ class TestOpsBuiltOnFirstTouch:
             changed = _with_ops(result, ops)
             decoded = codec.decode(codec.encode(changed))
             lazy = decoded.fingerprint()
-            assert not decoded.schedule.built
             assert lazy == changed.fingerprint()
             assert type(lazy["makespan"]) is type(changed.fingerprint()["makespan"])
-            decoded.schedule.ops
-            assert decoded.fingerprint() == lazy
+            walked = decoded.schedule.ops
+            assert lazy["num_ops"] == len(walked)
+            assert lazy["num_moves"] == sum(op.kind in MOVE_KINDS for op in walked)
+            assert lazy["makespan"] == max([0.0, *(op.end for op in walked)])
 
-    def test_concurrent_first_access_sees_one_list(self, result):
+    def test_concurrent_reads_see_equal_ops(self, result):
         decoded = codec.decode(codec.encode(result))
         barrier = threading.Barrier(8)
         seen, errors = [], []
@@ -324,21 +322,32 @@ class TestOpsBuiltOnFirstTouch:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(seen) == 8
-        assert all(ops is seen[0] for ops in seen)
+        assert all(ops == seen[0] for ops in seen)
         assert seen[0] == result.schedule.ops
 
-    def test_an_unbuilt_result_pickles(self, result):
+    def test_a_result_pickles_as_its_columns(self, result, constructions):
         decoded = codec.decode(codec.encode(result))
-        copy = pickle.loads(pickle.dumps(decoded))
-        assert not copy.schedule.built
+        decoded.schedule.ops  # a read leaves nothing behind to pickle
+        constructions.clear()
+        blob = pickle.dumps(decoded)
+        copy = pickle.loads(blob)
         assert copy.fingerprint() == result.fingerprint()
+        assert constructions == []
+        assert b"ScheduledOp" not in blob
         assert copy.to_dict() == result.to_dict()
 
-    def test_assigning_ops_replaces_the_columns(self, result):
+    def test_ops_are_read_only_and_an_edit_makes_a_new_schedule(self, result):
         decoded = codec.decode(codec.encode(result))
-        decoded.schedule.ops = result.schedule.ops[:1]
-        assert len(decoded.schedule) == 1
-        assert decoded.schedule.makespan == result.schedule.ops[0].end
+        op = decoded.schedule.ops[-1]
+        with pytest.raises(TypeError):
+            decoded.schedule.ops[0] = op
+        with pytest.raises(AttributeError):
+            setattr(decoded.schedule, "ops", [op])
+        assert decoded.fingerprint() == result.fingerprint()
+        edited = _with_ops(decoded, decoded.schedule.ops[:1])
+        assert len(edited.schedule) == 1
+        assert edited.schedule.makespan == result.schedule.ops[0].end
+        assert decoded.fingerprint() == result.fingerprint()
 
 
 class TestRejects:

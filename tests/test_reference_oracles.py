@@ -9,6 +9,7 @@ pairwise interval scan, a replay of qubit positions, an op-by-op walk over
 schedules, and demands the fast path agree.
 """
 
+import contextlib
 import dataclasses
 import heapq
 import json
@@ -856,26 +857,45 @@ def op_columns(ops):
     return [[getattr(op, field) for op in ops] for field in ScheduledOp.__slots__]
 
 
+@contextlib.contextmanager
+def building_no_op(what):
+    """Fail ``what`` if the block constructs a :class:`ScheduledOp`."""
+    made = []
+    init = ScheduledOp.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    ScheduledOp.__init__ = counting
+    try:
+        yield
+    finally:
+        ScheduledOp.__init__ = init
+    assert made == [], what
+
+
 def assert_same_pass(schedule, what):
     """``find_redundant_pairs``, ``resimulate`` and ``optimize_schedule`` on
     ``schedule`` equal the op walk: the same pairs, and output columns with
-    the same values of the same types.  Returns the expected optimised ops."""
-    was_built = schedule.built
+    the same values of the same types, and none of them builds an op.
+    Returns the expected optimised ops."""
     ops = list(map(ScheduledOp, *schedule.columns()))
     pairs = reference_redundant_pairs(ops)
-    assert find_redundant_pairs(schedule) == pairs, what
-    assert column_text(resimulate(schedule).columns()) == column_text(
+    with building_no_op(what):
+        found = find_redundant_pairs(schedule)
+        retimed = resimulate(schedule)
+        optimised, report = optimize_schedule(schedule)
+    assert found == pairs, what
+    assert column_text(retimed.columns()) == column_text(
         op_columns(reference_resimulate(ops))
     ), what
     dropped = {k for pair in pairs for k in pair}
     expected = reference_resimulate(
         [op for k, op in enumerate(ops) if k not in dropped]
     )
-    optimised, report = optimize_schedule(schedule)
     assert column_text(optimised.columns()) == column_text(op_columns(expected)), what
     assert report == EliminationReport(len(pairs), len(ops), len(expected)), what
-    assert not optimised.built
-    assert schedule.built == was_built, what
     return expected
 
 
@@ -989,11 +1009,11 @@ class TestSecVDAgainstOpWalk:
         rng = random.Random(2707)
         paired = moved_ints = 0
         for trial in range(200):
-            built = timed_move_schedule(rng)
-            columnar = Schedule.from_columns(built.columns())
-            assert_same_pass(columnar, f"trial {trial}")
-            expected = assert_same_pass(built, f"trial {trial} (built)")
-            paired += len(built) > len(expected)
+            schedule = timed_move_schedule(rng)
+            columnar = Schedule.from_columns(op_columns(schedule.ops))
+            assert_same_pass(columnar, f"trial {trial} (list columns)")
+            expected = assert_same_pass(schedule, f"trial {trial}")
+            paired += len(schedule) > len(expected)
             moved_ints += any(type(op.start) is int for op in expected)
         assert paired > 100 and moved_ints > 100
 
@@ -1430,9 +1450,9 @@ def _report_text(report):
 
 def _decoded(result, schedule):
     """``schedule`` after encode -> decode: the table and ``j`` columns."""
-    decoded = codec.decode(codec.encode(dataclasses.replace(result, schedule=schedule)))
-    assert not decoded.schedule.built
-    return decoded.schedule
+    blob = codec.encode(dataclasses.replace(result, schedule=schedule))
+    with building_no_op("decode"):
+        return codec.decode(blob).schedule
 
 
 class Case:
@@ -1463,14 +1483,14 @@ def assert_same_report(
         result.t_states, eps=eps,
     ))
     for form, candidate in (
-        ("built", schedule), ("decoded", _decoded(result, schedule)),
+        ("given", schedule), ("decoded", _decoded(result, schedule)),
     ):
-        got = validate_schedule(
-            candidate, circuit=circuit, distill_times=distill_times,
-            expected_t_states=result.t_states, eps=eps,
-        )
+        with building_no_op(f"{what} ({form})"):
+            got = validate_schedule(
+                candidate, circuit=circuit, distill_times=distill_times,
+                expected_t_states=result.t_states, eps=eps,
+            )
         assert _report_text(got) == expected, f"{what} ({form})"
-        assert form == "built" or not candidate.built
     return json.loads(expected)
 
 
@@ -1586,7 +1606,7 @@ def perturb(rng, case, ops):
 
 class TestValidatorAgainstOpWalk:
     """Identical reports from the columnar validator and the op-by-op walk,
-    on built and decoded schedules."""
+    on given and decoded schedules."""
 
     def test_compiled_schedules(self, oracle_cases):
         for case in oracle_cases:

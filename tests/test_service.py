@@ -17,6 +17,7 @@ import pytest
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import FaultTolerantCompiler
+from repro.scheduling.events import Schedule
 from repro.service import (
     Client,
     CompileBroker,
@@ -438,8 +439,9 @@ class TestServiceValidation:
         circuit, config = tiny_circuit(), tiny_config()
         key = job_key(circuit, config)
         result = FaultTolerantCompiler(config).compile(circuit)
-        ops = result.schedule.ops
-        ops[0] = dataclasses.replace(ops[0], start=-5.0)  # structure violation
+        first, *rest = result.schedule.ops
+        ops = [dataclasses.replace(first, start=-5.0), *rest]  # structure violation
+        result = dataclasses.replace(result, schedule=Schedule(ops))
         # encode (and so checksum) the tampered result so the entry passes
         # the cache's integrity layer — this test targets replay
         # validation, the layer that catches corruption the checksum
